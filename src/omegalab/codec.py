@@ -7,17 +7,23 @@ code is *functional* when no two of its slots name the same triple.  The
 enumeration lists the functional raw codes in increasing order; index m in
 that list is the m-th partial function.
 
-Ranking and unranking never scan raw codes one by one.  Slots group by the
-triple they describe, at most one slot per group may be set, and the number of
-functional codes with all slots below a bit bound is the product over groups
-of (1 + slots available in that group).  That product-counting gives direct
-rank/unrank in O(bits^2); a sorted cache of the first ~10^6 codes makes bulk
-work (round-trips, density scans) O(1) per lookup.
+Ranking, unranking and the least-extension search count instead of scanning
+codes.  Slots group by the triple they describe, at most one slot per group
+may be set, and the functional codes with all slots below a bit bound number
+the product over groups of (1 + the group's slots below it), which is
+(w+1)! * (k+1) for the bound w(w+1)/2 + k, 0 <= k <= w.  Unranking walks the
+positions below its answer's top slot once, keeping that product with one
+exact division and multiplication per position: O(bits) big-integer steps.
+Ranking a code of k entries takes k closed-form counts, each divided by the
+factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
+The least extension of a probe past a code is built digit by digit in one
+top-down scan of the positions below the search bound, plus one rank.  A
+sorted cache of the first ~10^6 codes makes bulk work (round trips, density
+scans) O(1) per lookup.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from bisect import bisect_left
@@ -134,8 +140,7 @@ def is_functional_raw(raw: int) -> bool:
     seen = set()
     while raw:
         low = raw & -raw
-        slot = low.bit_length() - 1
-        g = _slot_group(slot)
+        g = _slot_group(low.bit_length() - 1)
         if g in seen:
             return False
         seen.add(g)
@@ -154,74 +159,78 @@ def partial_fn_from_raw(raw: int) -> PartialFn:
 
 # --- counting machinery -----------------------------------------------------
 
-def _group_slots_below(group: int, bit_bound: int) -> int:
-    """How many slots of this group lie strictly below bit_bound."""
-    if cantor_pair(group, 0) >= bit_bound:
-        return 0
-    lo, hi = 0, 1
-    while cantor_pair(group, hi) < bit_bound:
-        hi *= 2
-    # smallest v with slot >= bit_bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cantor_pair(group, mid) < bit_bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _diagonal(bound: int) -> tuple[int, int]:
+    """(w, k) with bound = w(w+1)/2 + k, 0 <= k <= w: the slots below bound
+    fill diagonals 0..w-1 and the first k slots of diagonal w."""
+    w = (math.isqrt(8 * bound + 1) - 1) // 2
+    return w, bound - w * (w + 1) // 2
 
 
-def count_functional_below(bit_bound: int, excluded: frozenset[int] = frozenset()) -> int:
-    """Functional raw codes whose slots all lie below bit_bound, skipping
-    any group in `excluded` entirely."""
-    total = 1
-    q = 0
-    while q * (q + 1) // 2 < bit_bound:
-        if q not in excluded:
-            total *= 1 + _group_slots_below(q, bit_bound)
-        q += 1
-    return total
+def _group_counts(bit_bound: int) -> list[int]:
+    """Slots below bit_bound of each group g = 0, 1, ... that has any: one
+    per full diagonal from g up, one more if g is in w, w-1, ..., w-k+1."""
+    w, k = _diagonal(bit_bound)
+    return [w - g + (g > w - k) for g in range(w + (k > 0))]
 
 
-def _rank_from_slots(slots_desc: Sequence[int]) -> int:
-    """Functional codes strictly below the code with exactly these slots.
-
-    Also valid as a strict-bound count for a non-functional slot set: the scan
-    stops once the high prefix itself stops being functional.
-    """
-    total = 0
-    used: set[int] = set()
-    for s in slots_desc:
-        total += count_functional_below(s, frozenset(used))
-        g = _slot_group(s)
-        if g in used:
-            break
-        used.add(g)
-    return total
+def count_functional_below(bit_bound: int) -> int:
+    """Functional raw codes whose slots all lie below bit_bound."""
+    w, k = _diagonal(max(bit_bound, 0))
+    return math.factorial(w + 1) * (k + 1)
 
 
-def _unrank(m: int) -> tuple[int, ...]:
-    """Slot positions (descending) of the m-th functional raw code."""
+def _unrank(m: int) -> int:
+    """Raw code of the m-th functional code, by one top-down walk.  `total`
+    counts the functional codes with all slots below position p and no group
+    used yet; `counts[g]` is group g's slots below p (0 once used).  Passing
+    a free group's slot changes one factor of that product."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    if m == 0:
-        return ()
-    bits = 1
-    while count_functional_below(bits) <= m:
-        bits += 1
-    slots = []
-    used: set[int] = set()
-    remaining = m
-    hi = bits
-    while remaining:
-        p = hi - 1
-        while count_functional_below(p, frozenset(used)) > remaining:
-            p -= 1
-        remaining -= count_functional_below(p, frozenset(used))
-        slots.append(p)
-        used.add(_slot_group(p))
-        hi = p
-    return tuple(slots)
+    w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
+    while f * (w + 2) <= m:
+        w += 1
+        f *= w + 1
+    k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
+    p = w * (w + 1) // 2 + k
+    counts, total, raw = _group_counts(p), f * (k + 1), 0
+    g, v = cantor_unpair(p)  # the slot one above the walk's first position
+    while m:
+        p -= 1
+        g, v = (g + 1, v - 1) if v else (0, g - 1)
+        c = counts[g]
+        if not c:
+            continue
+        total = total // (c + 1) * c
+        if m >= total:  # all `total` codes that leave p clear precede m: set p
+            m -= total
+            raw |= 1 << p
+            total //= c
+            counts[g] = 0
+        else:
+            counts[g] = c - 1
+    return raw
+
+
+def _rank(raw: int) -> int:
+    """Functional raw codes strictly below `raw`: for each set slot s, from
+    the top, those that agree with raw above s and leave s clear, i.e. the
+    count below s over the factors of the groups used above s.  A
+    non-functional `raw` stops at its first repeated group."""
+    total = 0
+    used: list[int] = []
+    while raw:
+        s = raw.bit_length() - 1
+        raw ^= 1 << s
+        w, k = _diagonal(s)
+        used_factors = 1
+        for u in used:
+            if u <= w:  # groups past w have no slot below s
+                used_factors *= w + 1 - u + (u > w - k)
+        total += math.factorial(w + 1) * (k + 1) // used_factors
+        if w - k in used:  # slot s is the k-th of diagonal w: group w - k
+            break
+        used.append(w - k)
+    return total
 
 
 # --- sorted cache of the initial segment -------------------------------------
@@ -235,14 +244,12 @@ _cache_bits = 0
 
 def _build_cache(bits: int) -> list[int]:
     values = [0]
-    q = 0
-    while q * (q + 1) // 2 < bits:
-        opts = [0] + [1 << cantor_pair(q, v)
-                      for v in range(_group_slots_below(q, bits))]
+    for q, count in enumerate(_group_counts(bits)):
+        opts = [0] + [1 << cantor_pair(q, v) for v in range(count)]
         values = [base + o for base in values for o in opts]
-        q += 1
     values.sort()
     return values
+
 
 def _ensure_cache_count(needed: int) -> bool:
     """Grow the sorted cache to hold at least `needed` codes, if a tier allows."""
@@ -259,28 +266,13 @@ def _ensure_cache_count(needed: int) -> bool:
     return False
 
 
-_MAX_CACHED_COUNT = None  # filled lazily; count below the top tier
-
-
-def _top_tier_count() -> int:
-    global _MAX_CACHED_COUNT
-    if _MAX_CACHED_COUNT is None:
-        _MAX_CACHED_COUNT = count_functional_below(_TIER_BITS[-1])
-    return _MAX_CACHED_COUNT
-
-
 def raw_code_of_index(m: int) -> int:
     """Raw code of the m-th partial function (ascending raw order)."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    if m < len(_cache):
+    if m < len(_cache) or _ensure_cache_count(m + 1):
         return _cache[m]
-    if m < _top_tier_count() and _ensure_cache_count(m + 1):
-        return _cache[m]
-    code = 0
-    for s in _unrank(m):
-        code |= 1 << s
-    return code
+    return _unrank(m)
 
 
 def index_of_raw_code(raw: int) -> int:
@@ -292,18 +284,11 @@ def index_of_raw_code(raw: int) -> int:
         raise ValueError("raw codes are non-negative")
     if _cache_bits and raw < (1 << _cache_bits):
         return bisect_left(_cache, raw)
-    slots = []
-    r = raw
-    while r:
-        low = r & -r
-        slots.append(low.bit_length() - 1)
-        r ^= low
-    slots.reverse()
-    if slots and slots[0] > SLOT_LIMIT:
+    if raw.bit_length() - 1 > SLOT_LIMIT:
         raise ValueError(
             f"raw code has a slot beyond {SLOT_LIMIT}; its index is "
             "astronomically large and not representable here")
-    return _rank_from_slots(slots)
+    return _rank(raw)
 
 
 def nth_partial_fn(m: int) -> PartialFn:
@@ -319,7 +304,7 @@ def partial_fn_index(fn: PartialFn) -> int:
             "but is astronomically large")
     if _cache_bits and (not fn.entries or fn.slots[-1] < _cache_bits):
         return bisect_left(_cache, fn.raw_code)
-    return _rank_from_slots(tuple(reversed(fn.slots)))
+    return _rank(fn.raw_code)
 
 
 def warm_enumeration(count: int) -> None:
@@ -401,33 +386,46 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
         return n if n < search_bound else None
 
     raw_hi = raw_code_of_index(search_bound)
-    if probe.slots[-1] >= raw_hi.bit_length():
+    top = raw_hi.bit_length()
+    if probe.slots[-1] >= top:
         return None  # even the single highest entry lies past the bound
     mask = probe.raw_code
-    if mask >= raw_hi:
-        return None
-    above_raw = raw_code_of_index(above) if above >= 0 else -1
-    excluded_raws = {raw_code_of_index(n) for n in excluded
-                     if above < n < search_bound}
-    probe_groups = frozenset(_slot_group(s) for s in probe.slots)
-    free = [p for p in range(raw_hi.bit_length())
-            if _slot_group(p) not in probe_groups]
-
-    # Enumerate functional supersets of the probe in ascending raw order: a
-    # heap of extra-slot sets, each child appending one later free position
-    # from an unused group (every set has a unique parent, so no duplicates).
-    heap: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset())]
-    while heap:
-        extra, last, used = heapq.heappop(heap)
-        candidate = mask + extra
-        if candidate >= raw_hi:
-            return None  # candidates only grow from here
-        if candidate > above_raw and candidate not in excluded_raws:
-            return index_of_raw_code(candidate)
-        for idx in range(last + 1, len(free)):
-            p = free[idx]
-            g = _slot_group(p)
-            if g in used:
-                continue
-            heapq.heappush(heap, (extra + (1 << p), idx, used | {g}))
+    candidate = (mask if above < 0
+                 else _next_superset(mask, raw_code_of_index(above), top))
+    while candidate is not None and candidate < raw_hi:
+        n = index_of_raw_code(candidate)
+        if n not in excluded:
+            return n
+        candidate = _next_superset(mask, candidate, top)
     return None
+
+
+def _next_superset(mask: int, low: int, top: int) -> Optional[int]:
+    """Least functional raw code above the functional code `low`, with all
+    slots below `top`, that contains the functional code `mask`, or None.
+
+    Such a code agrees with `low` above some position p, sets bit p where
+    `low` has it clear, and at its least holds only mask's slots below p; a
+    lower admissible p gives a smaller code.  p cannot lie below mask's top
+    slot missing from `low`.  `kept` holds the groups of low's slots above
+    p, and `rest` those of mask's slots below p.
+    """
+    kept: set[int] = set()
+    rest = {_slot_group(s) for s in range(mask.bit_length()) if mask >> s & 1}
+    best = None
+    g, v = cantor_unpair(top)
+    for p in range(top - 1, max((mask & ~low).bit_length() - 1, 0) - 1, -1):
+        g, v = (g + 1, v - 1) if v else (0, g - 1)  # the group of slot p
+        in_mask, in_low = mask >> p & 1, low >> p & 1
+        if in_mask:
+            rest.discard(g)
+        if not (in_low or g in kept or (g in rest and not in_mask)):
+            best = p
+        if in_low:
+            if g in rest:
+                break  # every lower p keeps this slot and mask's of group g
+            kept.add(g)
+    if best is None:
+        return None
+    bit = 1 << best
+    return (low & -(bit << 1)) | bit | (mask & (bit - 1))

@@ -170,9 +170,12 @@ def demand_from_obj(obj: Any) -> Demand:
     _require(obj, ("pos", "neg", "probe", "polarity"), "demand")
     if obj["polarity"] not in (IN, OUT):
         raise ValueError(f"demand polarity must be {IN!r} or {OUT!r}")
+    probe = obj["probe"]
+    if not isinstance(probe, int) or isinstance(probe, bool) or probe < 0:
+        raise ValueError("demand probe must be an integer >= 0")
     spec = CombinationSpec(tuple(_int_list(obj["pos"], "pos")),
                            tuple(_int_list(obj["neg"], "neg")))
-    return Demand(spec, obj["probe"], obj["polarity"])
+    return Demand(spec, probe, obj["polarity"])
 
 
 def schedule_to_obj(demands: Sequence[Demand]) -> dict[str, Any]:

@@ -25,7 +25,8 @@ def pytest_runtest_makereport(item, call):
         return
     num, title = marker.args
     if hasattr(rep, "wasxfail"):
-        status = ("XFAIL (expected failure, see decisions ledger)"
+        status = ("XFAIL (expected failure, see README, \"Scale and the "
+                  "reachability wall\")"
                   if rep.skipped else "XPASS (unexpected pass)")
     elif rep.passed:
         status = "PASS"

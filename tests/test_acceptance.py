@@ -4,9 +4,9 @@ Each test is tagged @pytest.mark.criterion(n, title); the conftest hook
 prints one PASS/FAIL/XFAIL line per criterion after the run.  Criteria 4
 and 6 are strict expected failures at this scale: the witness search can
 only reach entry slots below the enumeration bound's bit length, and the
-third chain element of every build needs slots 78 and 91.  The decisions
-ledger carries the full analysis; the tests state the criteria faithfully
-rather than weakening them.
+third chain element of every build needs slots 78 and 91.  The README
+section "Scale and the reachability wall" carries the analysis; the tests
+state the criteria faithfully rather than weakening them.
 """
 
 import math
@@ -131,7 +131,7 @@ def test_criterion_3_extension_exactness():
     strict=True,
     reason="witness search cannot reach the entry slots of rows >= 3 below "
            "the enumeration bound; every build degrades at its third chain "
-           "element (see decisions ledger)")
+           "element (see README, \"Scale and the reachability wall\")")
 def test_criterion_4_generic_soundness(pipeline, joint_family):
     for record in pipeline.builds:
         assert not record.run.degraded
@@ -154,7 +154,8 @@ def test_criterion_5_capture_shadow(pipeline):
     strict=True,
     reason="meeting any in-demand from a finished build needs an echo of its "
            "second chain element, whose entry slots lie beyond every index "
-           "below the bound (see decisions ledger)")
+           "below the bound (see README, \"Scale and the reachability "
+           "wall\")")
 def test_criterion_6_constructive_density(pipeline, joint_family):
     failures = 0
     attempts = 0

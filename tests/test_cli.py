@@ -218,6 +218,18 @@ class TestBuildGeneric:
         assert res.returncode == 0
         assert json.loads(res.stdout)["A"] == [0, 3]
 
+    @pytest.mark.parametrize("probe", ["x", True])
+    def test_mistyped_probe_is_data_error(self, workdir, probe):
+        fams, eta = self.write_common(workdir)
+        sched = workdir / "sched.json"
+        write_json(str(sched), {"demands": [
+            {"pos": [], "neg": [], "probe": probe, "polarity": "in"}]})
+        res = run_cli("build-generic", "--families", str(fams), "--eta",
+                      str(eta), "--demands", str(sched),
+                      "--search-bound", "4096")
+        assert res.returncode == 65
+        assert "probe" in res.stderr and "Traceback" not in res.stderr
+
     def test_malformed_auto_spec(self, workdir):
         fams, eta = self.write_common(workdir)
         res = run_cli("build-generic", "--families", str(fams), "--eta",

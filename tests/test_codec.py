@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, cantor_pair,
+from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
+                            _rank, _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
                             index_of_raw_code, is_functional_raw,
@@ -284,3 +286,81 @@ class TestLeastExtensionIndex:
                             if n > probe_idx
                             and nth_partial_fn(n).extends(probe))
             assert least_extension_index(probe, probe_idx, 3000) == expected
+
+
+# --- the counting path, below and past the sorted table -------------------------
+# Lookups below ~1.8M codes go through the sorted table, so these call the
+# counting functions directly.  The table itself is built by expanding every
+# group's choices, not by counting, and serves as the brute-force oracle.
+
+TABLE_30 = _build_cache(30)  # every functional code with slots below 30
+
+
+def brute_least_extension(probe, above, bound, without):
+    """Linear scan of the table for the least extension index."""
+    for n in range(max(above + 1, 0), min(bound, len(TABLE_30))):
+        if n not in without and all(TABLE_30[n] >> s & 1 for s in probe.slots):
+            return n
+    return None
+
+
+class TestCountingPath:
+    def test_unrank_and_rank_match_table(self):
+        assert len(TABLE_30) == count_functional_below(30) == 120960
+        assert [_unrank(m) for m in range(len(TABLE_30))] == TABLE_30
+        assert all(_rank(raw) == m for m, raw in enumerate(TABLE_30))
+
+    def test_rank_counts_non_functional_codes(self):
+        # a non-functional code's rank is still the count of functional codes below it
+        for raw in range(1 << 16):
+            assert _rank(raw) == bisect_left(ORACLE_RAWS, raw)
+
+    @given(st.integers(0, 10 ** 100))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_inverts_unrank_up_to_googol(self, m):
+        raw = _unrank(m)
+        assert is_functional_raw(raw)
+        assert _rank(raw) == m
+        assert _unrank(m + 1) > raw
+
+    def test_counts_match_group_products(self):
+        # the closed form (w+1)!(k+1) against the product over groups
+        for bits in range(200):
+            product = 1
+            for q in range(bits + 1):
+                product *= 1 + sum(cantor_pair(q, v) < bits for v in range(bits))
+            assert count_functional_below(bits) == product
+
+    @given(st.integers(0, 3000), st.integers(-1, 121_000),
+           st.integers(1, 120_960), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_least_extension_agrees_with_linear_scan(self, probe_idx, above,
+                                                     bound, data):
+        probe = nth_partial_fn(probe_idx)
+        # exclude some of the first extensions, so the search must step past them
+        first = []
+        for n in range(max(above + 1, 0), bound):
+            if len(first) == 6:
+                break
+            if TABLE_30[n] & probe.raw_code == probe.raw_code:
+                first.append(n)
+        without = set(data.draw(st.lists(st.sampled_from(first), max_size=5))
+                      if first else [])
+        without |= set(data.draw(st.lists(st.integers(0, 120_960), max_size=20)))
+        assert least_extension_index(probe, above, bound, without=without) == \
+            brute_least_extension(probe, above, bound, without)
+
+    def test_least_extension_none_cases(self):
+        for probe_idx in (3, 40, 1439, 5000, 120_959):
+            probe = nth_partial_fn(probe_idx)
+            for bound in (1, 2, 4, 40, 1440, 5000, 120_960):
+                for above in (-1, 0, bound // 2, bound - 1, bound):
+                    assert least_extension_index(probe, above, bound) == \
+                        brute_least_extension(probe, above, bound, set())
+        # the probe's code lies at or past the bound's code: no extension below it
+        assert least_extension_index(nth_partial_fn(100), -1, 100) is None
+        assert least_extension_index(nth_partial_fn(100), -1, 101) == 100
+        # the probe's one slot lies past every slot of the bound's code
+        probe = PartialFn.from_point_map({(3, 0, 0): 0})
+        assert probe.slots[-1] >= raw_code_of_index(120_960).bit_length()
+        assert least_extension_index(probe, -1, 120_960) is None
