@@ -27,6 +27,6 @@ from .finset import (CombinationSpec, Family, FinSet, IndependenceReport,
 from .generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                       GenericRun, MeetResult, TargetGrid, auto_schedule,
                       build_generic, check_all_combos_dense,
-                      check_pairwise_match, extend_to_meet, is_condition)
+                      extend_to_meet, is_condition)
 
 __version__ = "0.1.0"

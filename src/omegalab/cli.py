@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -24,7 +23,7 @@ from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
 from .extender import find_independent_shuffle, orbit_closure
 from .finset import bit_family, combination_specs, is_independent, is_saturated
 from .generic import (auto_schedule, build_generic, check_all_combos_dense,
-                      check_pairwise_match)
+                      is_condition)
 from .jsonio import (canonical_dumps, extension_demand_from_obj,
                      families_from_obj, family_from_obj, family_to_obj,
                      finset_from_obj, grid_from_obj, partial_fn_from_obj,
@@ -60,16 +59,6 @@ def _emit(obj: Any, out: Optional[str]) -> None:
     else:
         write_json(out, obj)
         _say(f"wrote {out}")
-
-
-def _threads_note() -> None:
-    raw = os.environ.get("OMEGALAB_THREADS")
-    if raw is None:
-        return
-    if not raw.isdigit():
-        raise _UsageError("OMEGALAB_THREADS must be a non-negative integer")
-    cap = "auto" if int(raw) == 0 else raw
-    _say(f"threads: {cap} (engine runs sequentially; the cap is honored)")
 
 
 def _spec_str(pos, neg) -> str:
@@ -240,7 +229,7 @@ def _cmd_verify_star(args) -> int:
 def _cmd_verify_starstar(args) -> int:
     members = finset_from_obj(read_json(args.set))
     grid = grid_from_obj(read_json(args.eta))
-    rep = check_pairwise_match(members, grid)
+    rep = is_condition(members, grid)
     obj = {"ok": rep.ok,
            "witness": None if rep.witness is None else list(rep.witness)}
     _emit(obj, args.out)
@@ -387,7 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads_note()
         return args.func(args)
     except _UsageError as e:
         _say(f"usage error: {e}")

@@ -17,18 +17,20 @@ exact division and multiplication per position: O(bits) big-integer steps.
 Ranking a code of k entries takes k closed-form counts, each divided by the
 factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
 The least extension of a probe past a code is built digit by digit in one
-top-down scan of the positions below the search bound, plus one rank.  A
-sorted cache of the first ~10^6 codes makes bulk work (round trips, density
-scans) O(1) per lookup.
+top-down scan of the positions below the search bound, plus one rank.
+Density checks and searches within a member set merge the members with the
+probe's extensions in index order, so they decode no member.
+`raw_code_of_index` reads its first 120 960 answers (every code with all
+slots below bit 30) from a sorted table built on first use, about 7 MB, so
+callers that scan many consecutive small indices pay O(1) per lookup; every
+other lookup counts.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .finset import FinSet
@@ -83,7 +85,7 @@ class PartialFn:
         rows = []
         seen = set()
         for e in entries:
-            a, b, i, v = (int(x) for x in e)
+            a, b, i, v = map(int, e)
             if a < 0 or b < 0 or v < 0 or i not in (0, 1):
                 raise ValueError(f"bad entry {(a, b, i, v)}")
             code = point_code(a, b, i)
@@ -179,11 +181,12 @@ def count_functional_below(bit_bound: int) -> int:
     return math.factorial(w + 1) * (k + 1)
 
 
-def _unrank(m: int) -> int:
-    """Raw code of the m-th functional code, by one top-down walk.  `total`
-    counts the functional codes with all slots below position p and no group
-    used yet; `counts[g]` is group g's slots below p (0 once used).  Passing
-    a free group's slot changes one factor of that product."""
+def _unrank_walk(m: int) -> list[tuple[int, int, int]]:
+    """(position, group, value) of each slot of the m-th functional code, top
+    down, by one walk.  `total` counts the functional codes with all slots
+    below position p and no group used yet; `counts[g]` is group g's slots
+    below p (0 once used).  Passing a free group's slot changes one factor
+    of that product."""
     if m < 0:
         raise ValueError("index must be >= 0")
     w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
@@ -192,7 +195,7 @@ def _unrank(m: int) -> int:
         f *= w + 1
     k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
     p = w * (w + 1) // 2 + k
-    counts, total, raw = _group_counts(p), f * (k + 1), 0
+    counts, total, slots = _group_counts(p), f * (k + 1), []
     g, v = cantor_unpair(p)  # the slot one above the walk's first position
     while m:
         p -= 1
@@ -203,11 +206,19 @@ def _unrank(m: int) -> int:
         total = total // (c + 1) * c
         if m >= total:  # all `total` codes that leave p clear precede m: set p
             m -= total
-            raw |= 1 << p
+            slots.append((p, g, v))
             total //= c
             counts[g] = 0
         else:
             counts[g] = c - 1
+    return slots
+
+
+def _unrank(m: int) -> int:
+    """Raw code of the m-th functional code."""
+    raw = 0
+    for p, _, _ in _unrank_walk(m):
+        raw |= 1 << p
     return raw
 
 
@@ -233,13 +244,9 @@ def _rank(raw: int) -> int:
     return total
 
 
-# --- sorted cache of the initial segment -------------------------------------
+# --- sorted table of the initial segment -------------------------------------
 
-_TIER_BITS = (20, 30, 38, 40)
-
-_cache_lock = threading.Lock()
-_cache: list[int] = []
-_cache_bits = 0
+_SEGMENT_BITS = 30
 
 
 def _build_cache(bits: int) -> list[int]:
@@ -251,27 +258,20 @@ def _build_cache(bits: int) -> list[int]:
     return values
 
 
-def _ensure_cache_count(needed: int) -> bool:
-    """Grow the sorted cache to hold at least `needed` codes, if a tier allows."""
-    global _cache, _cache_bits
-    if needed <= len(_cache):
-        return True
-    for bits in _TIER_BITS:
-        if count_functional_below(bits) >= needed:
-            with _cache_lock:
-                if bits > _cache_bits:
-                    _cache = _build_cache(bits)
-                    _cache_bits = bits
-            return len(_cache) >= needed
-    return False
+@cache
+def _segment() -> list[int]:
+    """Every functional code with all slots below bit 30, ascending, so that
+    scans over consecutive small indices do not pay one walk per index."""
+    return _build_cache(_SEGMENT_BITS)
+
+
+_SEGMENT_SIZE = count_functional_below(_SEGMENT_BITS)  # 120 960
 
 
 def raw_code_of_index(m: int) -> int:
     """Raw code of the m-th partial function (ascending raw order)."""
-    if m < 0:
-        raise ValueError("index must be >= 0")
-    if m < len(_cache) or _ensure_cache_count(m + 1):
-        return _cache[m]
+    if 0 <= m < _SEGMENT_SIZE:
+        return _segment()[m]
     return _unrank(m)
 
 
@@ -282,8 +282,6 @@ def index_of_raw_code(raw: int) -> int:
     """
     if raw < 0:
         raise ValueError("raw codes are non-negative")
-    if _cache_bits and raw < (1 << _cache_bits):
-        return bisect_left(_cache, raw)
     if raw.bit_length() - 1 > SLOT_LIMIT:
         raise ValueError(
             f"raw code has a slot beyond {SLOT_LIMIT}; its index is "
@@ -293,7 +291,8 @@ def index_of_raw_code(raw: int) -> int:
 
 def nth_partial_fn(m: int) -> PartialFn:
     """The m-th partial function in the canonical enumeration."""
-    return partial_fn_from_raw(raw_code_of_index(m))
+    return PartialFn.from_entries((*point_decode(g), v)
+                                  for _, g, v in _unrank_walk(m))
 
 
 def partial_fn_index(fn: PartialFn) -> int:
@@ -302,14 +301,7 @@ def partial_fn_index(fn: PartialFn) -> int:
         raise ValueError(
             f"entry slot {fn.slots[-1]} exceeds {SLOT_LIMIT}; the index exists "
             "but is astronomically large")
-    if _cache_bits and (not fn.entries or fn.slots[-1] < _cache_bits):
-        return bisect_left(_cache, fn.raw_code)
     return _rank(fn.raw_code)
-
-
-def warm_enumeration(count: int) -> None:
-    """Pre-build the lookup cache for indices below `count` (bulk callers)."""
-    _ensure_cache_count(count)
 
 
 # --- density and extension search --------------------------------------------
@@ -339,16 +331,8 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
     for m in range(probe_bound):
         if m < search_bound and m in container:
             continue  # a function extends itself
-        probe_slots = nth_partial_fn(m).slots
-        found = False
-        for n in ascending:
-            if n >= search_bound:
-                break
-            raw_n = raw_code_of_index(n)
-            if all((raw_n >> s) & 1 for s in probe_slots):
-                found = True
-                break
-        if not found:
+        if _least_member_extension(nth_partial_fn(m), ascending, -1,
+                                   search_bound, set()) is None:
             return DenseReport(False, m, probe_bound, search_bound)
     return DenseReport(True, None, probe_bound, search_bound)
 
@@ -366,18 +350,8 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
     excluded = set(without)
 
     if within is not None:
-        probe_slots = probe.slots
-        for n in sorted(set(within)):
-            if n <= above:
-                continue
-            if n >= search_bound:
-                break
-            if n in excluded:
-                continue
-            raw_n = raw_code_of_index(n)
-            if all((raw_n >> s) & 1 for s in probe_slots):
-                return n
-        return None
+        return _least_member_extension(probe, sorted(set(within)), above,
+                                       search_bound, excluded)
 
     if not probe.entries:
         n = above + 1 if above >= 0 else 0
@@ -397,6 +371,26 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
         if n not in excluded:
             return n
         candidate = _next_superset(mask, candidate, top)
+    return None
+
+
+def _least_member_extension(probe: PartialFn, ascending: Iterable[int],
+                            above: int, search_bound: int,
+                            excluded: set[int]) -> Optional[int]:
+    """Least n of the increasing `ascending`, above < n < search_bound and
+    not excluded, whose function extends `probe`.  Merges the members with
+    the probe's extensions in index order, so no member is decoded: each
+    step of the extensions is one counting search, to the least one at or
+    past the current member."""
+    e = least_extension_index(probe, above, search_bound, without=excluded)
+    for n in ascending:
+        if e is not None and n > e:
+            e = least_extension_index(probe, n - 1, search_bound,
+                                      without=excluded)
+        if e is None:
+            return None
+        if n == e:
+            return n
     return None
 
 

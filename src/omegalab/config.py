@@ -12,7 +12,6 @@ from typing import Any
 # stream tags for child_seed
 GRID_TAG = 1
 PERM_TAG = 2
-SHUFFLE_TAG = 3
 HOMOG_TAG = 4
 
 _SEED_MOD = 1 << 63

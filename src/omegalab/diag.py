@@ -20,7 +20,7 @@ from .errors import GridOverflow, PreconditionUnmet
 from .finset import Family, FinSet, IndependenceReport, is_independent
 from .generic import (ComboDensityReport, GenericRun, TargetGrid,
                       auto_schedule, build_generic, check_all_combos_dense,
-                      check_pairwise_match, row_match_column)
+                      is_condition, row_match_column)
 
 
 class PointPermutation(Protocol):
@@ -78,16 +78,12 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> GridFn:
     entries = []
     for m in range(rows):
         fn = nth_partial_fn(perm.apply(m))
-        for k in range(cols):
-            v = fn.value_at(m, k, 0)
-            if v is not None:
-                entries.append((m, k, 0, v))
+        entries.extend((m, b, 0, v) for a, b, i, v in fn.entries
+                       if a == m and i == 0 and b < cols)
     for m in range(rows):
         fn = nth_partial_fn(perm.inverse_apply(m))
-        for k in range(cols):
-            v = fn.value_at(m, k, 1)
-            if v is not None:
-                entries.append((m, k, 1, v))
+        entries.extend((m, b, 1, v) for a, b, i, v in fn.entries
+                       if a == m and i == 1 and b < cols)
     return GridFn(rows, cols, tuple(entries))
 
 
@@ -143,7 +139,7 @@ def verify_catch(members: Iterable[int], target: TargetGrid,
     pairwise."""
     elems = sorted(set(members))
     try:
-        rep = check_pairwise_match(elems, target)
+        rep = is_condition(elems, target)
     except GridOverflow as e:
         raise PreconditionUnmet(str(e)) from e
     if not rep.ok:

@@ -108,11 +108,6 @@ def is_condition(elements: Iterable[int], grid: TargetGrid) -> ConditionReport:
     return ConditionReport(w is None, w)
 
 
-def check_pairwise_match(members: Iterable[int], grid: TargetGrid) -> ConditionReport:
-    """Same predicate as is_condition, applied to an arbitrary finite set."""
-    return is_condition(members, grid)
-
-
 @dataclass(frozen=True)
 class Condition:
     """A validated chain; extension only appends past the maximum."""

@@ -45,15 +45,19 @@ def _require(obj: Any, keys: Sequence[str], what: str) -> None:
             raise ValueError(f"{what} is missing key {key!r}")
 
 
+def _universe_size(obj: dict[str, Any], what: str) -> int:
+    n = obj["N"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{what} key N must be an integer")
+    return n
+
+
 # --- sets and families --------------------------------------------------------
-
-def finset_to_obj(s: FinSet) -> dict[str, Any]:
-    return {"N": s.n, "members": s.to_list()}
-
 
 def finset_from_obj(obj: Any) -> FinSet:
     _require(obj, ("N", "members"), "set")
-    return FinSet.from_members(obj["N"], _int_list(obj["members"], "members"))
+    return FinSet.from_members(_universe_size(obj, "set"),
+                               _int_list(obj["members"], "members"))
 
 
 def family_to_obj(family: Family) -> dict[str, Any]:
@@ -68,9 +72,7 @@ def family_to_obj(family: Family) -> dict[str, Any]:
 
 def family_from_obj(obj: Any) -> Family:
     _require(obj, ("N", "sets"), "family")
-    n = obj["N"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("family key N must be an integer")
+    n = _universe_size(obj, "family")
     sets_obj = obj["sets"]
     if not isinstance(sets_obj, list):
         raise ValueError("family key sets must be a list")
@@ -84,10 +86,6 @@ def family_from_obj(obj: Any) -> Family:
             raise ValueError("family key labels must be a list of strings")
         labels = tuple(raw)
     return Family(n, sets, labels)
-
-
-def families_to_obj(families: Sequence[Family]) -> dict[str, Any]:
-    return {"families": [family_to_obj(f) for f in families]}
 
 
 def families_from_obj(obj: Any) -> tuple[Family, ...]:
@@ -203,10 +201,6 @@ def _pairs_from_obj(obj: Any, what: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def extension_demand_to_obj(f: PartialInjection, g: FamilyMap) -> dict[str, Any]:
-    return {"f": [list(p) for p in f.pairs], "g": [list(p) for p in g.pairs]}
-
-
 def extension_demand_from_obj(obj: Any, n: int
                               ) -> tuple[PartialInjection, FamilyMap]:
     """The point half f needs a universe size, taken from the family file."""
@@ -216,10 +210,7 @@ def extension_demand_from_obj(obj: Any, n: int
     return f, g
 
 
-def permutation_to_obj(perm: Permutation) -> dict[str, Any]:
-    return {"N": perm.n, "images": list(perm.images)}
-
-
 def permutation_from_obj(obj: Any) -> Permutation:
     _require(obj, ("N", "images"), "permutation")
-    return Permutation(obj["N"], tuple(_int_list(obj["images"], "images")))
+    return Permutation(_universe_size(obj, "permutation"),
+                       tuple(_int_list(obj["images"], "images")))

@@ -6,7 +6,6 @@ pins the documented exit statuses: 0 pass, 1 violation, 2 degraded,
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -19,12 +18,9 @@ SMOKE_CONFIG = {"K": 2, "N": 4096, "Ma": 8, "Mk": 8, "V": 1, "t": 2, "d": 2,
                 "seed": 7}
 
 
-def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "OMEGALAB_THREADS"}
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "omegalab", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def zero_grid_obj(rows=4, cols=4):
@@ -173,6 +169,15 @@ class TestCloseOrbit:
         assert obj["sets"] == [[0, 1], [1, 2], [0, 3]]
         assert obj["labels"] == ["set0", "set0+1", "set0-1"]
 
+    def test_bool_universe_is_data_error(self, workdir):
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": 1, "sets": [[0]]})
+        perm = workdir / "perm.json"
+        write_json(str(perm), {"N": True, "images": [0]})
+        res = run_cli("close-orbit", "--family", str(fam), "--perm",
+                      str(perm), "--layers", "1")
+        assert res.returncode == 65
+
 
 class TestBuildGeneric:
     def write_common(self, workdir, rows=4, cols=4, n=4096):
@@ -277,6 +282,16 @@ class TestVerifyStarStar:
         assert res.returncode == 1
         assert json.loads(res.stdout)["witness"] == [0, 1, 1]
 
+    @pytest.mark.parametrize("n", ["x", True])
+    def test_mistyped_universe_is_data_error(self, workdir, n):
+        s = workdir / "set.json"
+        write_json(str(s), {"N": n, "members": [0]})
+        eta = workdir / "eta.json"
+        write_json(str(eta), zero_grid_obj())
+        res = run_cli("verify-starstar", "--set", str(s), "--eta", str(eta))
+        assert res.returncode == 65
+        assert "key N" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestDiagExperiment:
     def test_degraded_smoke_run(self, workdir):
@@ -311,14 +326,3 @@ class TestUsageAndEnvironment:
 
     def test_missing_required_flag(self):
         assert run_cli("check-indep", "--t", "2").returncode == 64
-
-    def test_threads_env_validated(self):
-        res = run_cli("rho", "3", env_extra={"OMEGALAB_THREADS": "abc"})
-        assert res.returncode == 64
-        assert "OMEGALAB_THREADS" in res.stderr
-
-    def test_threads_env_accepted(self):
-        res = run_cli("rho", "3", env_extra={"OMEGALAB_THREADS": "4"})
-        assert res.returncode == 0
-        assert "threads: 4" in res.stderr
-        assert res.stdout == '{"entries":[[0,0,0,0],[0,0,1,0]]}\n'

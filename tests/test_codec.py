@@ -148,9 +148,10 @@ class TestRoundTrips:
             assert partial_fn_index(nth_partial_fn(m)) == m
 
     @given(st.integers(0, 1_500_000))
-    @settings(max_examples=120, deadline=None)  # first example may build a cache tier
+    @settings(max_examples=120, deadline=None)  # spans the table and past it
     def test_index_roundtrip_sampled(self, m):
         assert partial_fn_index(nth_partial_fn(m)) == m
+        assert nth_partial_fn(m).raw_code == raw_code_of_index(m)
 
     def test_raw_codes_strictly_increase(self):
         raws = [raw_code_of_index(m) for m in range(4000)]
@@ -167,7 +168,7 @@ class TestRoundTrips:
         assert nth_partial_fn(partial_fn_index(fn)) == fn
 
     def test_deep_single_slot_values(self):
-        # indices found by counting, far beyond any cached tier
+        # indices found by counting, far past the fixed table
         assert index_of_raw_code(1 << 78) == 6227020800
         assert raw_code_of_index(6227020800) == 1 << 78
         assert index_of_raw_code(1 << 91) == 87178291200
@@ -267,6 +268,8 @@ class TestLeastExtensionIndex:
         probe = PartialFn.from_point_map({(0, 0, 0): 0})
         assert least_extension_index(probe, -1, 1 << 20, within=[0, 2, 3]) == 3
         assert least_extension_index(probe, -1, 1 << 20, within=[0, 2]) is None
+        # the least extension (0) is no member, the member right after it is
+        assert least_extension_index(EMPTY_FN, -1, 100, within=[1, 5]) == 1
         assert least_extension_index(probe, -1, 1 << 20, within=[1, 3],
                                      without=[1]) == 3
 
@@ -289,17 +292,18 @@ class TestLeastExtensionIndex:
 
 
 # --- the counting path, below and past the sorted table -------------------------
-# Lookups below ~1.8M codes go through the sorted table, so these call the
-# counting functions directly.  The table itself is built by expanding every
-# group's choices, not by counting, and serves as the brute-force oracle.
+# raw_code_of_index reads indices below 120 960 from the sorted table, so these
+# call the counting functions directly.  The table itself is built by expanding
+# every group's choices, not by counting, and serves as the brute-force oracle.
 
 TABLE_30 = _build_cache(30)  # every functional code with slots below 30
 
 
-def brute_least_extension(probe, above, bound, without):
+def brute_least_extension(probe, above, bound, without, within=None):
     """Linear scan of the table for the least extension index."""
     for n in range(max(above + 1, 0), min(bound, len(TABLE_30))):
-        if n not in without and all(TABLE_30[n] >> s & 1 for s in probe.slots):
+        if (n not in without and (within is None or n in within)
+                and all(TABLE_30[n] >> s & 1 for s in probe.slots)):
             return n
     return None
 
@@ -322,6 +326,12 @@ class TestCountingPath:
         assert is_functional_raw(raw)
         assert _rank(raw) == m
         assert _unrank(m + 1) > raw
+        assert nth_partial_fn(m).raw_code == raw_code_of_index(m)
+
+    def test_lookup_across_table_boundary(self):
+        raws = [raw_code_of_index(m) for m in range(120_950, 120_971)]
+        assert raws == [_unrank(m) for m in range(120_950, 120_971)]
+        assert all(x < y for x, y in zip(raws, raws[1:]))
 
     def test_counts_match_group_products(self):
         # the closed form (w+1)!(k+1) against the product over groups
@@ -332,10 +342,10 @@ class TestCountingPath:
             assert count_functional_below(bits) == product
 
     @given(st.integers(0, 3000), st.integers(-1, 121_000),
-           st.integers(1, 120_960), st.data())
-    @settings(max_examples=200, deadline=None)
+           st.integers(1, 120_960), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
     def test_least_extension_agrees_with_linear_scan(self, probe_idx, above,
-                                                     bound, data):
+                                                     bound, restrict, data):
         probe = nth_partial_fn(probe_idx)
         # exclude some of the first extensions, so the search must step past them
         first = []
@@ -344,11 +354,30 @@ class TestCountingPath:
                 break
             if TABLE_30[n] & probe.raw_code == probe.raw_code:
                 first.append(n)
-        without = set(data.draw(st.lists(st.sampled_from(first), max_size=5))
-                      if first else [])
+        some_first = st.lists(st.sampled_from(first), max_size=5) if first \
+            else st.just([])
+        without = set(data.draw(some_first))
         without |= set(data.draw(st.lists(st.integers(0, 120_960), max_size=20)))
-        assert least_extension_index(probe, above, bound, without=without) == \
-            brute_least_extension(probe, above, bound, without)
+        within = None
+        if restrict:  # a member set holding some of the first extensions
+            within = data.draw(st.lists(st.integers(0, 120_960), max_size=40))
+            within += data.draw(some_first)
+        assert least_extension_index(probe, above, bound, within=within,
+                                     without=without) == \
+            brute_least_extension(probe, above, bound, without, within)
+
+    @given(st.lists(st.integers(0, 120_959), max_size=60),
+           st.integers(1, 40), st.integers(1, 120_960))
+    @settings(max_examples=100, deadline=None)
+    def test_check_dense_agrees_with_linear_scan(self, members, probe_bound,
+                                                 search_bound):
+        missing = next((m for m in range(probe_bound)
+                        if brute_least_extension(nth_partial_fn(m), -1,
+                                                 search_bound, set(),
+                                                 set(members)) is None), None)
+        for given_members in (members, FinSet.from_members(120_960, members)):
+            rep = check_dense(given_members, probe_bound, search_bound)
+            assert (rep.ok, rep.missing_probe) == (missing is None, missing)
 
     def test_least_extension_none_cases(self):
         for probe_idx in (3, 40, 1439, 5000, 120_959):

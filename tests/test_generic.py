@@ -10,8 +10,8 @@ from omegalab.finset import CombinationSpec, Family
 from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                               GenericRun, TargetGrid, auto_schedule,
                               build_generic, check_all_combos_dense,
-                              check_pairwise_match, extend_to_meet,
-                              is_condition, merge_families, row_match_column)
+                              extend_to_meet, is_condition, merge_families,
+                              row_match_column)
 
 ZERO_GRID = TargetGrid.constant(4, 4)
 
@@ -74,7 +74,6 @@ class TestIsCondition:
         assert not rep.ok
         # the function at index 1 defines nothing on layer 1 of row 0
         assert rep.witness == (0, 1, 1)
-        assert check_pairwise_match([0, 1], ZERO_GRID) == rep
 
     def test_non_maximal_element_beyond_grid(self):
         with pytest.raises(GridOverflow):
