@@ -8,9 +8,9 @@ from .codec import (EMPTY_FN, PartialFn, cantor_pair, cantor_unpair,
                     least_extension_index, nth_partial_fn, partial_fn_index,
                     point_code, point_decode, raw_code_of_index, slot_decode)
 from .config import ExperimentConfig, child_seed
-from .diag import (CatchReport, GridFn, LazyPermutation, MatchReport,
-                   PipelineReport, case_split, grid_fn_from_perm, matches,
-                   moved_within, run_pipeline, verify_catch)
+from .diag import (CatchReport, LazyPermutation, MatchReport, PipelineReport,
+                   case_split, grid_fn_from_perm, matches, moved_within,
+                   run_pipeline, verify_catch)
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
                      InducedMapNotPermutation, OmegalabError,
                      PreconditionUnmet, SearchExhausted)

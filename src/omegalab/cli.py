@@ -4,7 +4,8 @@ Structured JSON goes to --out (or stdout when no --out is given); the
 one-screen human summary always goes to stderr, so piping JSON stays clean.
 
 Exit statuses: 0 pass, 1 invariant violation, 2 degraded/budget-exhausted,
-64 usage, 65 bad data, 66 missing input, 74 other I/O failure.
+64 usage, 65 bad data, 66 missing input, 70 internal error (any other
+exception, reported in one line), 74 other I/O failure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EX_DEGRADED = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_NOINPUT = 66
+EX_SOFTWARE = 70
 EX_IOERR = 74
 
 
@@ -399,6 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         _say(f"io error: {e}")
         return EX_IOERR
+    except Exception as e:  # a fault of the program, never exit 1
+        _say(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}")
+        return EX_SOFTWARE
 
 
 def script_entry() -> None:

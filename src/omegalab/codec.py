@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .finset import FinSet
 
@@ -352,26 +352,37 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
     if within is not None:
         return _least_member_extension(probe, sorted(set(within)), above,
                                        search_bound, excluded)
+    return _extension_search(probe, search_bound, excluded)(above)
 
+
+def _extension_search(probe: PartialFn, search_bound: int, excluded: set[int]
+                      ) -> Callable[[int], Optional[int]]:
+    """The search of least_extension_index as a function of `above`, so that
+    repeated searches unrank the bound once (and an empty probe never)."""
     if not probe.entries:
-        n = above + 1 if above >= 0 else 0
-        while n in excluded:
-            n += 1
-        return n if n < search_bound else None
+        def least(above: int) -> Optional[int]:
+            n = above + 1 if above >= 0 else 0
+            while n in excluded:
+                n += 1
+            return n if n < search_bound else None
+        return least
 
     raw_hi = raw_code_of_index(search_bound)
     top = raw_hi.bit_length()
     if probe.slots[-1] >= top:
-        return None  # even the single highest entry lies past the bound
+        return lambda above: None  # the highest entry alone lies past the bound
     mask = probe.raw_code
-    candidate = (mask if above < 0
-                 else _next_superset(mask, raw_code_of_index(above), top))
-    while candidate is not None and candidate < raw_hi:
-        n = index_of_raw_code(candidate)
-        if n not in excluded:
-            return n
-        candidate = _next_superset(mask, candidate, top)
-    return None
+
+    def least(above: int) -> Optional[int]:
+        candidate = (mask if above < 0
+                     else _next_superset(mask, raw_code_of_index(above), top))
+        while candidate is not None and candidate < raw_hi:
+            n = index_of_raw_code(candidate)
+            if n not in excluded:
+                return n
+            candidate = _next_superset(mask, candidate, top)
+        return None
+    return least
 
 
 def _least_member_extension(probe: PartialFn, ascending: Iterable[int],
@@ -382,11 +393,11 @@ def _least_member_extension(probe: PartialFn, ascending: Iterable[int],
     the probe's extensions in index order, so no member is decoded: each
     step of the extensions is one counting search, to the least one at or
     past the current member."""
-    e = least_extension_index(probe, above, search_bound, without=excluded)
+    least = _extension_search(probe, search_bound, excluded)
+    e = least(above)
     for n in ascending:
         if e is not None and n > e:
-            e = least_extension_index(probe, n - 1, search_bound,
-                                      without=excluded)
+            e = least(n - 1)
         if e is None:
             return None
         if n == e:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Protocol
 
-from .codec import nth_partial_fn
+from .codec import PartialFn, nth_partial_fn
 from .config import GRID_TAG, PERM_TAG, ExperimentConfig, child_seed
 from .errors import GridOverflow, PreconditionUnmet
 from .finset import Family, FinSet, IndependenceReport, is_independent
@@ -31,44 +31,10 @@ class PointPermutation(Protocol):
     def inverse_apply(self, y: int) -> int: ...
 
 
-@dataclass(frozen=True)
-class GridFn:
-    """A partial function on {0..rows-1} x {0..cols-1} x {0,1}; points not
-    listed in entries are genuinely undefined."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for m, k, i, v in self.entries:
-            if not (0 <= m < self.rows and 0 <= k < self.cols and i in (0, 1)):
-                raise ValueError(f"entry point {(m, k, i)} outside the grid")
-            if v < 0:
-                raise ValueError("values must be >= 0")
-            if (m, k, i) in seen:
-                raise ValueError(f"point {(m, k, i)} assigned twice")
-            seen.add((m, k, i))
-        ordered = tuple(sorted(self.entries))
-        object.__setattr__(self, "entries", ordered)
-
-    def value_at(self, m: int, k: int, i: int) -> Optional[int]:
-        for em, ek, ei, v in self.entries:
-            if (em, ek, ei) == (m, k, i):
-                return v
-        return None
-
-    def defined_at(self, m: int, k: int, i: int) -> bool:
-        return self.value_at(m, k, i) is not None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> GridFn:
-    """Layer 0 of row m reads the function indexed by perm(m); layer 1 reads
-    the one indexed by the preimage of m.
+def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn:
+    """The induced partial function on {0..rows-1} x {0..cols-1} x {0,1}:
+    layer 0 of row m reads the function indexed by perm(m), layer 1 the one
+    indexed by the preimage of m.
 
     Query order is pinned — images for m = 0..rows-1, then preimages
     likewise — so lazily sampled permutations give reproducible results.
@@ -84,7 +50,7 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> GridFn:
         fn = nth_partial_fn(perm.inverse_apply(m))
         entries.extend((m, b, 1, v) for a, b, i, v in fn.entries
                        if a == m and i == 1 and b < cols)
-    return GridFn(rows, cols, tuple(entries))
+    return PartialFn.from_entries(entries)
 
 
 def moved_within(perm: PointPermutation, bound: int) -> tuple[int, ...]:
@@ -110,8 +76,9 @@ class MatchReport:
     ok: bool
 
 
-def matches(fn: GridFn, target: TargetGrid, threshold: int) -> MatchReport:
-    """How many grid points the partial function gets right on the target."""
+def matches(fn: PartialFn, target: TargetGrid, threshold: int) -> MatchReport:
+    """How many points of the target the partial function gets right; its
+    points outside the target do not count."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     count = 0

@@ -129,21 +129,14 @@ class AtomDecomposition:
         raise ValueError(f"{x} outside the universe [0, {self.n})")
 
 
-def _cells_by_signature(n: int, set_masks: Sequence[int]
-                        ) -> tuple[list[int], list[int]]:
-    """Nonempty intersection cells over the given sets, ascending signature."""
-    full = (1 << n) - 1
-    masks, sigs = [], []
-    for sig in range(1 << len(set_masks)):
-        cell = full
-        for j, sm in enumerate(set_masks):
-            cell &= sm if (sig >> j) & 1 else full & ~sm
-            if not cell:
-                break
-        if cell:
-            masks.append(cell)
-            sigs.append(sig)
-    return masks, sigs
+def _cell(full: int, set_masks: Sequence[int], sig: int) -> int:
+    """Points lying in the j-th set exactly when bit j of sig is set."""
+    cell = full
+    for j, sm in enumerate(set_masks):
+        cell &= sm if (sig >> j) & 1 else full & ~sm
+        if not cell:
+            break
+    return cell
 
 
 def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
@@ -155,17 +148,19 @@ def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
     for j in dom:
         if not (0 <= j < count and 0 <= g.apply(j) < count):
             raise ValueError(f"family map touches index outside [0, {count})")
-    source_masks = [family.sets[j].mask for j in dom]
-    cell_masks, sigs = _cells_by_signature(family.n, source_masks)
-    pos_by_mask = {m: k for k, m in enumerate(cell_masks)}
     full = (1 << family.n) - 1
+    source_masks = [family.sets[j].mask for j in dom]
+    image_masks = [family.sets[g.apply(j)].mask for j in dom]
+    pos_by_mask: dict[int, int] = {}  # nonempty cells, ascending signature
+    sigs = []
+    for sig in range(1 << len(dom)):
+        cell = _cell(full, source_masks, sig)
+        if cell:
+            pos_by_mask[cell] = len(sigs)
+            sigs.append(sig)
     action = []
     for sig in sigs:
-        image = full
-        for j, src_idx in enumerate(dom):
-            tm = family.sets[g.apply(src_idx)].mask
-            image &= tm if (sig >> j) & 1 else full & ~tm
-        k2 = pos_by_mask.get(image)
+        k2 = pos_by_mask.get(_cell(full, image_masks, sig))
         if k2 is None:
             raise InducedMapNotPermutation(
                 f"image of the cell with signature {sig} is not a cell of "
@@ -173,7 +168,7 @@ def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
         action.append(k2)
     if len(set(action)) != len(action):
         raise InducedMapNotPermutation("induced cell map is not a bijection")
-    atoms = tuple(FinSet(family.n, m) for m in cell_masks)
+    atoms = tuple(FinSet(family.n, m) for m in pos_by_mask)
     return AtomDecomposition(family.n, atoms, tuple(sigs), tuple(action))
 
 
@@ -183,19 +178,26 @@ class CompatibilityReport:
     witness: Optional[tuple[int, int]]  # (point, family index) that disagree
 
 
+def _compatibility(f: PartialInjection, g: FamilyMap, family: Family
+                   ) -> tuple[AtomDecomposition, Optional[tuple[int, int]]]:
+    """g's decomposition and the least witness of f disagreeing with g."""
+    if f.n != family.n:
+        raise ValueError("partial injection and family disagree on the universe")
+    dec = atoms_of(g, family)  # validates g's induced action up front
+    for x, y in f.pairs:
+        for j in g.domain():
+            if (x in family.sets[j]) != (y in family.sets[g.apply(j)]):
+                return dec, (x, j)
+    return dec, None
+
+
 def check_compatible(f: PartialInjection, g: FamilyMap,
                      family: Family) -> CompatibilityReport:
     """Does f respect membership the way g prescribes?  The witness is the
     least (x, j) with x's membership in set j differing from f(x)'s
     membership in set g(j)."""
-    if f.n != family.n:
-        raise ValueError("partial injection and family disagree on the universe")
-    atoms_of(g, family)  # validate g's induced action up front
-    for x, y in f.pairs:
-        for j in g.domain():
-            if (x in family.sets[j]) != (y in family.sets[g.apply(j)]):
-                return CompatibilityReport(False, (x, j))
-    return CompatibilityReport(True, None)
+    witness = _compatibility(f, g, family)[1]
+    return CompatibilityReport(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -252,64 +254,50 @@ class Permutation:
         return self._inverse[y]
 
     def apply_set(self, s: FinSet) -> FinSet:
-        if s.n != self.n:
-            raise ValueError("set lives in a different universe")
-        mask = 0
-        for x in s.members():
-            mask |= 1 << self.images[x]
-        return FinSet(self.n, mask)
+        return self._image_set(s, self.images)
 
     def inverse_apply_set(self, s: FinSet) -> FinSet:
+        return self._image_set(s, self._inverse)
+
+    def _image_set(self, s: FinSet, table: Sequence[int]) -> FinSet:
         if s.n != self.n:
             raise ValueError("set lives in a different universe")
         mask = 0
         for x in s.members():
-            mask |= 1 << self._inverse[x]
+            mask |= 1 << table[x]
         return FinSet(self.n, mask)
 
 
-def _free_cells(f: PartialInjection, dec: AtomDecomposition
+def _completion(f: PartialInjection, g: FamilyMap, family: Family
                 ) -> tuple[list[list[int]], list[list[int]]]:
-    dom_mask = 0
-    for x in f.domain():
-        dom_mask |= 1 << x
-    ran_mask = 0
-    for y in f.targets():
-        ran_mask |= 1 << y
-    sources = [FinSet(dec.n, a.mask & ~dom_mask).to_list() for a in dec.atoms]
-    targets = [FinSet(dec.n, dec.atoms[k2].mask & ~ran_mask).to_list()
+    """What every completion of (f, g) shares, derived once: per cell (in
+    signature order) its points outside dom(f), and its image cell's points
+    outside ran(f).  Raises IncompatiblePair, or as atoms_of does."""
+    dec, witness = _compatibility(f, g, family)
+    if witness is not None:
+        raise IncompatiblePair(f"point {witness[0]} disagrees with its image "
+                               f"about set {witness[1]}")
+    dom_mask = sum(1 << x for x, _ in f.pairs)  # distinct points: sum is union
+    ran_mask = sum(1 << y for _, y in f.pairs)
+    sources = [FinSet(f.n, a.mask & ~dom_mask).to_list() for a in dec.atoms]
+    targets = [FinSet(f.n, dec.atoms[k2].mask & ~ran_mask).to_list()
                for k2 in dec.action]
     return sources, targets
 
 
 def shuffle_sizes(f: PartialInjection, g: FamilyMap,
                   family: Family) -> tuple[int, ...]:
-    """Cell sizes net of dom(f) — the shape a shuffle must have."""
-    dec = atoms_of(g, family)
-    sources, _ = _free_cells(f, dec)
-    return tuple(len(s) for s in sources)
+    """Cell sizes net of dom(f) — the shape a shuffle must have.  Raises as
+    build_permutation does on data that cannot be completed."""
+    return tuple(len(s) for s in _completion(f, g, family)[0])
 
 
-def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
-                      shuffle: AtomShuffle) -> Permutation:
-    """Complete the compatible pair (f, g) to a permutation of the universe.
-
-    Cell by cell (ascending signature), the points outside dom(f) go to the
-    image cell's points outside ran(f), in order twisted by the shuffle.
-    Raises IncompatiblePair, InducedMapNotPermutation or CardinalityMismatch
-    when the data cannot be completed this way.
-    """
-    comp = check_compatible(f, g, family)
-    if not comp.ok:
-        raise IncompatiblePair(
-            f"point {comp.witness[0]} disagrees with its image about set "
-            f"{comp.witness[1]}")
-    dec = atoms_of(g, family)
-    sources, targets = _free_cells(f, dec)
-    if len(shuffle.perms) != len(dec.atoms):
+def _complete(f: PartialInjection, sources: list[list[int]],
+              targets: list[list[int]], shuffle: AtomShuffle) -> Permutation:
+    if len(shuffle.perms) != len(sources):
         raise ValueError(f"shuffle covers {len(shuffle.perms)} cells, "
-                         f"decomposition has {len(dec.atoms)}")
-    images = [-1] * family.n
+                         f"decomposition has {len(sources)}")
+    images = [-1] * f.n
     for x, y in f.pairs:
         images[x] = y
     for k, (src, tgt) in enumerate(zip(sources, targets)):
@@ -323,7 +311,19 @@ def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
                              f"{len(perm_k)}, cell needs {len(src)}")
         for pos, x in enumerate(src):
             images[x] = tgt[perm_k[pos]]
-    return Permutation(family.n, tuple(images))
+    return Permutation(f.n, tuple(images))
+
+
+def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
+                      shuffle: AtomShuffle) -> Permutation:
+    """Complete the compatible pair (f, g) to a permutation of the universe.
+
+    Cell by cell (ascending signature), the points outside dom(f) go to the
+    image cell's points outside ran(f), in order twisted by the shuffle.
+    Raises IncompatiblePair, InducedMapNotPermutation or CardinalityMismatch
+    when the data cannot be completed this way.
+    """
+    return _complete(f, *_completion(f, g, family), shuffle)
 
 
 def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
@@ -380,7 +380,8 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
                              threshold: int, depth: int, layers: int,
                              budget: int, seed: int) -> ShuffleSearchReport:
     """Draw random shuffles until the completed permutation's orbit closure
-    stays independent, or the budget runs out.
+    stays independent, or the budget runs out.  The pair is checked and its
+    free cells derived once; an attempt only draws and applies a shuffle.
 
     The checked depth is clamped to the closure's set count.  On failure the
     report carries the best attempt seen, judged by the smallest combination
@@ -388,18 +389,14 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    comp = check_compatible(f, g, family)
-    if not comp.ok:
-        raise IncompatiblePair(
-            f"point {comp.witness[0]} disagrees with its image about set "
-            f"{comp.witness[1]}")
-    sizes = shuffle_sizes(f, g, family)
+    sources, targets = _completion(f, g, family)
+    sizes = tuple(len(s) for s in sources)
     rng = random.Random(seed)
     best_attempt: Optional[int] = None
     best_min_size: Optional[int] = None
     for attempt in range(1, budget + 1):
         shuffle = AtomShuffle.random(sizes, rng)
-        perm = build_permutation(f, g, family, shuffle)
+        perm = _complete(f, sources, targets, shuffle)
         closure = orbit_closure(family, perm, layers)
         d = min(depth, len(closure.sets))
         rep = is_independent(closure, threshold, d)

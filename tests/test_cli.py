@@ -1,8 +1,8 @@
 """End-to-end checks of the command-line interface via subprocess.
 
-Everything here runs `python -m omegalab ...` exactly as a user would, and
-pins the documented exit statuses: 0 pass, 1 violation, 2 degraded,
-64 usage, 65 bad data, 66 missing input.
+Nearly everything here runs `python -m omegalab ...` exactly as a user
+would, and pins the documented exit statuses: 0 pass, 1 violation,
+2 degraded, 64 usage, 65 bad data, 66 missing input, 70 internal error.
 """
 
 import json
@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from omegalab import cli
 from omegalab.jsonio import write_json
 
 SMOKE_CONFIG = {"K": 2, "N": 4096, "Ma": 8, "Mk": 8, "V": 1, "t": 2, "d": 2,
@@ -326,3 +327,14 @@ class TestUsageAndEnvironment:
 
     def test_missing_required_flag(self):
         assert run_cli("check-indep", "--t", "2").returncode == 64
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        # in process: any exception no handler expects ends in one line and
+        # status 70, never a traceback and never the violation status 1
+        def broken(args):
+            raise RuntimeError("deep\n  inside")
+        monkeypatch.setattr(cli, "_cmd_rho", broken)
+        assert cli.main(["rho", "3"]) == 70
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: deep inside\n"
+        assert captured.out == ""

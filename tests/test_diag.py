@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab.codec import EMPTY_FN, PartialFn, nth_partial_fn
 from omegalab.config import ExperimentConfig, child_seed
-from omegalab.diag import (GridFn, LazyPermutation, SampleRecord, case_split,
+from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
                            run_pipeline, verify_catch)
 from omegalab.errors import PreconditionUnmet
@@ -24,27 +27,6 @@ SMOKE = ExperimentConfig(builds=2, universe=4096, rows=8, cols=8,
                          probe_bound=2, search_bound=4096, samples=5, seed=7)
 
 
-class TestGridFn:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridFn(2, 2, ((2, 0, 0, 0),))
-        with pytest.raises(ValueError):
-            GridFn(2, 2, ((0, 0, 0, 0), (0, 0, 0, 1)))
-        with pytest.raises(ValueError):
-            GridFn(2, 2, ((0, 0, 0, -1),))
-
-    def test_partial_lookup(self):
-        fn = GridFn(2, 2, ((1, 0, 1, 7),))
-        assert fn.value_at(1, 0, 1) == 7
-        assert fn.value_at(0, 0, 0) is None
-        assert fn.defined_at(1, 0, 1) and not fn.defined_at(1, 0, 0)
-        assert len(fn) == 1
-
-    def test_entries_sorted(self):
-        fn = GridFn(2, 2, ((1, 1, 0, 0), (0, 0, 0, 0)))
-        assert fn.entries == ((0, 0, 0, 0), (1, 1, 0, 0))
-
-
 class TestGridFnFromPerm:
     def test_swap_reads_both_layers(self):
         fn = grid_fn_from_perm(swap03(), 4, 4)
@@ -61,6 +43,39 @@ class TestGridFnFromPerm:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             grid_fn_from_perm(swap03(), 0, 4)
+
+    @given(st.integers(0, 2 ** 31), st.booleans(), st.integers(1, 6),
+           st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_entries_equal_brute_force_read(self, seed, lazy, rows, cols,
+                                            t_rows, t_cols, value_bound):
+        # every in-grid point of layer 0 (layer 1) of row m is read from the
+        # function indexed by perm(m) (the preimage of m), and nothing else
+        rng = random.Random(seed)
+        n = rng.choice((8, 64, 4096))
+        if lazy:
+            perm = LazyPermutation(n, seed)
+        else:
+            images = list(range(n))
+            rng.shuffle(images)
+            perm = Permutation(n, tuple(images))
+        fn = grid_fn_from_perm(perm, rows, cols)
+        assert isinstance(fn, PartialFn)
+        expected = {}
+        for m in range(rows):  # a lazy permutation is sampled by now
+            for i, source in ((0, perm.apply(m)), (1, perm.inverse_apply(m))):
+                read = nth_partial_fn(source)
+                for k in range(cols):
+                    v = read.value_at(m, k, i)
+                    if v is not None:
+                        expected[(m, k, i)] = v
+        assert {(m, k, i): v for m, k, i, v in fn.entries} == expected
+        target = TargetGrid.random(t_rows, t_cols, value_bound, rng)
+        count = sum(1 for m in range(t_rows) for k in range(t_cols)
+                    for i in (0, 1) if fn.value_at(m, k, i) is not None
+                    and fn.value_at(m, k, i) == target.value_at(m, k, i))
+        assert matches(fn, target, 0).count == count
 
 
 class TestCaseSplit:
@@ -94,7 +109,7 @@ class TestMatches:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            matches(GridFn(1, 1, ()), ZERO_GRID, -1)
+            matches(EMPTY_FN, ZERO_GRID, -1)
 
 
 class TestVerifyCatch:

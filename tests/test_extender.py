@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import extender
 from omegalab.errors import (CardinalityMismatch, IncompatiblePair,
                              InducedMapNotPermutation)
 from omegalab.extender import (AtomShuffle, FamilyMap, HomogenizeParams,
@@ -115,6 +116,34 @@ class TestBuildPermutation:
         with pytest.raises(ValueError):
             build_permutation(PartialInjection.empty(4), SWAP01, halves4(),
                               AtomShuffle(((0, 1),)))
+
+    @pytest.mark.parametrize("f, g, fam, shuffle, error, message", [
+        (PartialInjection.from_dict(4, {0: 0}), SWAP01, halves4(),
+         AtomShuffle(((), ())), IncompatiblePair,
+         "point 0 disagrees with its image about set 0"),
+        (PartialInjection.empty(5), SWAP01,
+         Family.from_lists(5, [[0, 1], [2, 3, 4]]),
+         AtomShuffle(((0, 1), (0, 1, 2))), CardinalityMismatch,
+         "cell 0 has 2 free points but its image cell has 3"),
+        (PartialInjection.empty(4), SWAP01, halves4(), AtomShuffle(((0, 1),)),
+         ValueError, "shuffle covers 1 cells, decomposition has 2"),
+        (PartialInjection.empty(4), SWAP01, halves4(),
+         AtomShuffle(((0, 1), (0,))), ValueError,
+         "shuffle for cell 1 has length 1, cell needs 2"),
+        (PartialInjection.empty(8), SWAP01, halves4(),
+         AtomShuffle(((0, 1), (0, 1))), ValueError,
+         "partial injection and family disagree on the universe"),
+        (PartialInjection.empty(3), FamilyMap.from_dict({0: 1}),
+         Family.from_lists(3, [[0, 1], [1, 2]]), AtomShuffle(((0,),)),
+         InducedMapNotPermutation,
+         "image of the cell with signature 0 is not a cell of the decomposition"),
+        (PartialInjection.empty(4), FamilyMap.from_dict({0: 5}), halves4(),
+         AtomShuffle(((0,),)), ValueError,
+         r"family map touches index outside \[0, 2\)"),
+    ])
+    def test_error_messages(self, f, g, fam, shuffle, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build_permutation(f, g, fam, shuffle)
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -243,6 +272,35 @@ class TestFindIndependentShuffle:
             find_independent_shuffle(
                 PartialInjection.from_dict(4, {0: 0}), SWAP01, halves4(),
                 threshold=1, depth=1, layers=1, budget=3, seed=0)
+
+    def test_pinned_search(self):
+        # a search that succeeds on its last attempt; its outcome is pinned
+        f = PartialInjection.from_dict(32, {1: 2, 6: 5})
+        rep = find_independent_shuffle(f, SWAP01, bit_family(3, 32),
+                                       threshold=3, depth=3, layers=1,
+                                       budget=6, seed=5)
+        assert rep.ok and rep.attempts == 6
+        assert rep.best_attempt == 6 and rep.best_min_size == 3
+        assert rep.permutation.images == (
+            28, 2, 25, 23, 12, 22, 5, 19, 24, 30, 21, 31, 8, 14, 1, 11,
+            16, 6, 9, 15, 20, 10, 13, 7, 4, 18, 17, 3, 0, 26, 29, 27)
+
+    def test_decomposition_derived_once_per_search(self, monkeypatch):
+        calls = []
+
+        def counted(g, family):
+            calls.append(g)
+            return atoms_of(g, family)
+        monkeypatch.setattr(extender, "atoms_of", counted)
+        counts = []
+        for budget in (0, 1, 8):
+            calls.clear()
+            rep = find_independent_shuffle(
+                PartialInjection.empty(8), SWAP01, bit_family(2, 8),
+                threshold=3, depth=2, layers=1, budget=budget, seed=5)
+            assert rep.attempts == budget  # the threshold is unreachable
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] >= 1
 
 
 class TestHomogenize:
