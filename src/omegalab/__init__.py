@@ -22,8 +22,8 @@ from .extender import (AtomDecomposition, AtomShuffle, FamilyMap,
                        shuffle_sizes)
 from .finset import (CombinationSpec, Family, FinSet, IndependenceReport,
                      SaturationReport, bit_family, boolean_combination,
-                     combination_specs, is_independent, is_saturated,
-                     min_combination_size)
+                     combination_masks, combination_specs, count_combinations,
+                     is_independent, is_saturated, min_combination_size)
 from .generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                       GenericRun, MeetResult, TargetGrid, auto_schedule,
                       build_generic, check_all_combos_dense,

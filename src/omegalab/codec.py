@@ -323,13 +323,17 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
     """
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
+    # the members that are probes and may witness themselves, as one small
+    # mask: testing a probe shifts these bits, not a whole FinSet's universe
+    cut = min(probe_bound, search_bound)
     if isinstance(members, FinSet):
-        container, ascending = members, members  # O(1) `in`, lazy ascending iter
+        ascending = members  # lazy, ascending
+        own = members.mask & ((1 << cut) - 1)
     else:
         ascending = sorted(set(members))
-        container = set(ascending)
+        own = sum(1 << m for m in ascending if 0 <= m < cut)
     for m in range(probe_bound):
-        if m < search_bound and m in container:
+        if own >> m & 1:
             continue  # a function extends itself
         if _least_member_extension(nth_partial_fn(m), ascending, -1,
                                    search_bound, set()) is None:

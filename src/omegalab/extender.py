@@ -7,6 +7,9 @@ image cell.  build_permutation completes such a pair to a full permutation,
 filling each cell with an order bijection twisted by a per-cell shuffle.
 Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
+A set's image is read off its base-2 digits through the preimage table in
+C-level string passes, with no Python loop over members, and each attempt
+of the search scans the closure's combinations once.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from typing import Optional, Sequence
 from .config import HOMOG_TAG, child_seed
 from .errors import (CardinalityMismatch, IncompatiblePair,
                      InducedMapNotPermutation)
-from .finset import (Family, FinSet, IndependenceReport, is_independent,
-                     min_combination_size)
+from .finset import Family, FinSet, IndependenceReport, min_combination_size
 
 
 def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
@@ -254,18 +256,20 @@ class Permutation:
         return self._inverse[y]
 
     def apply_set(self, s: FinSet) -> FinSet:
-        return self._image_set(s, self.images)
-
-    def inverse_apply_set(self, s: FinSet) -> FinSet:
         return self._image_set(s, self._inverse)
 
-    def _image_set(self, s: FinSet, table: Sequence[int]) -> FinSet:
+    def inverse_apply_set(self, s: FinSet) -> FinSet:
+        return self._image_set(s, self.images)
+
+    def _image_set(self, s: FinSet, preimages: Sequence[int]) -> FinSet:
+        """The set whose point y is in exactly when preimages[y] is in s,
+        read off s's base-2 digits in C-level passes (no loop per member;
+        base-2 conversions are exempt from the int/str digit limit)."""
         if s.n != self.n:
             raise ValueError("set lives in a different universe")
-        mask = 0
-        for x in s.members():
-            mask |= 1 << table[x]
-        return FinSet(self.n, mask)
+        bits = format(s.mask, f"0{self.n}b")[::-1]  # bits[x] is x's digit
+        image = "".join(map(bits.__getitem__, preimages))
+        return FinSet(self.n, int(image[::-1], 2))
 
 
 def _completion(f: PartialInjection, g: FamilyMap, family: Family
@@ -381,7 +385,9 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
                              budget: int, seed: int) -> ShuffleSearchReport:
     """Draw random shuffles until the completed permutation's orbit closure
     stays independent, or the budget runs out.  The pair is checked and its
-    free cells derived once; an attempt only draws and applies a shuffle.
+    free cells derived once; an attempt draws and applies a shuffle, closes
+    the family, and scans the closure's combinations once: the least size is
+    both the verdict and the score of a failed attempt.
 
     The checked depth is clamped to the closure's set count.  On failure the
     report carries the best attempt seen, judged by the smallest combination
@@ -389,6 +395,8 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
     sources, targets = _completion(f, g, family)
     sizes = tuple(len(s) for s in sources)
     rng = random.Random(seed)
@@ -399,12 +407,11 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
         perm = _complete(f, sources, targets, shuffle)
         closure = orbit_closure(family, perm, layers)
         d = min(depth, len(closure.sets))
-        rep = is_independent(closure, threshold, d)
-        if rep.ok:
+        size = min_combination_size(closure, d)  # one scan: verdict and best
+        if size >= threshold:
+            rep = IndependenceReport(True, None, size, threshold, d)
             return ShuffleSearchReport(True, attempt, budget, shuffle, perm,
-                                       closure, rep, attempt, rep.size_found,
-                                       False)
-        size = min_combination_size(closure, d)
+                                       closure, rep, attempt, size, False)
         if best_min_size is None or size > best_min_size:
             best_attempt, best_min_size = attempt, size
     return ShuffleSearchReport(False, budget, budget, None, None, None, None,

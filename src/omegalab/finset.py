@@ -2,11 +2,18 @@
 
 Sets over the universe {0..n-1} are stored as integer bitmasks, which keeps
 intersections and complements cheap even for universes of a million points.
+
+Combination checks share one scan, combination_masks: a pre-order
+depth-first walk over (pos, neg) in which each combination is one big-int
+AND of its parent's mask with a set or a precomputed complement, and each
+check one bit_count.  A family of k sets has sum_{j<=d} C(k,j)*2^j
+combinations of depth <= d (count_combinations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -191,30 +198,90 @@ def combination_specs(count: int, depth: int) -> Iterator[CombinationSpec]:
             yield CombinationSpec(pos, neg)
 
 
+def count_combinations(count: int, depth: int) -> int:
+    """How many specs combination_specs(count, depth) lists: each of the
+    C(count, j) index sets of size j <= depth splits into pos and neg in 2^j
+    ways."""
+    return sum(comb(count, j) << j for j in range(min(count, depth) + 1))
+
+
+def _prefix_masks(pool: Sequence[int], table: Sequence[int], base: int,
+                  max_len: int, chosen: list[int]) -> Iterator[int]:
+    # ascending tuples over pool in lexicographic pre-order, () first, as
+    # base AND table[i] over their members; `chosen` holds the tuple while
+    # its mask is out, and each mask is one AND off its parent's
+    yield base
+    prefix = [base]
+    at: list[int] = []  # positions in pool of the chosen members
+    j = 0
+    while True:
+        if j < len(pool) and len(at) < max_len:
+            prefix.append(prefix[-1] & table[pool[j]])
+            at.append(j)
+            chosen.append(pool[j])
+            yield prefix[-1]
+            j += 1
+        elif at:
+            j = at.pop() + 1
+            chosen.pop()
+            prefix.pop()
+        else:
+            return
+
+
+def combination_masks(family: Family, depth: int
+                      ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(mask, pos, neg) of every combination of depth <= `depth`, in the
+    order of combination_specs, so the first failure a scan meets is the
+    lexicographically least.
+
+    One pre-order walk: the pos tuples over the sets, and under each the neg
+    tuples over the remaining sets against precomputed complements.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    masks = [s.mask for s in family.sets]
+    full = (1 << family.n) - 1
+    complements = [full ^ m for m in masks]
+    pos: list[int] = []
+    neg: list[int] = []
+    for pos_mask in _prefix_masks(range(len(masks)), masks, full, depth, pos):
+        rest = [i for i in range(len(masks)) if i not in pos]
+        pos_t = tuple(pos)
+        for mask in _prefix_masks(rest, complements, pos_mask,
+                                  depth - len(pos), neg):
+            yield mask, pos_t, tuple(neg)
+
+
+def _check_depth(family: Family, depth: int) -> None:
+    if not 0 <= depth <= len(family.sets):
+        raise ValueError("depth must lie in [0, number of sets]")
+
+
 def is_independent(family: Family, threshold: int, depth: int) -> IndependenceReport:
     """Does every combination of up to `depth` sets have >= `threshold` members?
 
-    On failure the report carries the lexicographically least failing spec.
+    On failure the report carries the lexicographically least failing spec;
+    on success, the smallest combination size.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if not 0 <= depth <= len(family.sets):
-        raise ValueError("depth must lie in [0, number of sets]")
-    smallest = 1 << family.n
-    for spec in combination_specs(len(family.sets), depth):
-        size = len(boolean_combination(family, spec))
+    _check_depth(family, depth)
+    smallest = family.n  # the empty spec's size
+    for mask, pos, neg in combination_masks(family, depth):
+        size = mask.bit_count()
         if size < threshold:
-            return IndependenceReport(False, spec, size, threshold, depth)
-        smallest = min(smallest, size)
+            return IndependenceReport(False, CombinationSpec(pos, neg), size,
+                                      threshold, depth)
+        if size < smallest:
+            smallest = size
     return IndependenceReport(True, None, smallest, threshold, depth)
 
 
 def min_combination_size(family: Family, depth: int) -> int:
     """Smallest combination size over all specs of depth <= `depth` (full scan)."""
-    if not 0 <= depth <= len(family.sets):
-        raise ValueError("depth must lie in [0, number of sets]")
-    return min(len(boolean_combination(family, spec))
-               for spec in combination_specs(len(family.sets), depth))
+    _check_depth(family, depth)
+    return min(mask.bit_count() for mask, _, _ in combination_masks(family, depth))
 
 
 def is_saturated(family: Family, bound: int) -> SaturationReport:

@@ -19,7 +19,7 @@ from .codec import (EMPTY_FN, PartialFn, check_dense, least_extension_index,
                     nth_partial_fn)
 from .errors import GridOverflow, SearchExhausted
 from .finset import (CombinationSpec, Family, FinSet, boolean_combination,
-                     combination_specs)
+                     combination_masks, combination_specs)
 
 IN = "in"
 OUT = "out"
@@ -293,9 +293,13 @@ def build_generic(families: Sequence[Family], grid: TargetGrid,
     """Fold extend_to_meet over the schedule, starting from the empty chain.
 
     A SearchExhausted or GridOverflow stops the fold and yields a degraded
-    run carrying everything met so far; other errors propagate.
+    run carrying everything met so far; other errors propagate.  A search
+    bound past the families' universe is a ValueError: the chain would name
+    points outside it.
     """
     merged = merge_families(families)
+    if search_bound > merged.n:
+        raise ValueError("search bound cannot exceed the universe size")
     cond = Condition.empty(grid)
     steps: list[StepRecord] = []
     degraded = False
@@ -346,14 +350,15 @@ def check_all_combos_dense(families: Sequence[Family], probe_bound: int,
                            search_bound: int,
                            depth: Optional[int] = None) -> ComboDensityReport:
     """Is every combination of the families dense in the enumeration, in the
-    check_dense sense?  Reports the least failing (spec, probe)."""
+    check_dense sense?  Reports the least failing (spec, probe), walking the
+    combinations by finset.combination_masks."""
     merged = merge_families(families)
     if depth is None:
         depth = len(merged.sets)
-    for spec in combination_specs(len(merged.sets), depth):
-        found = boolean_combination(merged, spec)
-        rep = check_dense(found, probe_bound, search_bound)
+    for mask, pos, neg in combination_masks(merged, depth):
+        rep = check_dense(FinSet(merged.n, mask), probe_bound, search_bound)
         if not rep.ok:
-            return ComboDensityReport(False, spec, rep.missing_probe,
-                                      probe_bound, search_bound)
+            return ComboDensityReport(False, CombinationSpec(pos, neg),
+                                      rep.missing_probe, probe_bound,
+                                      search_bound)
     return ComboDensityReport(True, None, None, probe_bound, search_bound)

@@ -236,6 +236,15 @@ class TestBuildGeneric:
         assert res.returncode == 65
         assert "probe" in res.stderr and "Traceback" not in res.stderr
 
+    def test_search_bound_past_universe_is_data_error(self, workdir):
+        fams, eta = self.write_common(workdir)
+        res = run_cli("build-generic", "--families", str(fams), "--eta",
+                      str(eta), "--demands", "auto:q=1",
+                      "--search-bound", str(10 ** 40))
+        assert res.returncode == 65
+        assert res.stdout == ""
+        assert "search bound cannot exceed the universe size" in res.stderr
+
     def test_malformed_auto_spec(self, workdir):
         fams, eta = self.write_common(workdir)
         res = run_cli("build-generic", "--families", str(fams), "--eta",
@@ -262,6 +271,23 @@ class TestVerifyStar:
                       "--probe-bound", "2", "--search-bound", "512")
         assert res.returncode == 0
         assert "star-density: PASS" in res.stderr
+
+    def test_pass_reports_spec_count(self, workdir):
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [
+            {"N": 64, "sets": [list(range(0, 64, 2)), list(range(32, 64))]}]})
+        res = run_cli("verify-star", "--families", str(fams),
+                      "--probe-bound", "1", "--search-bound", "64")
+        assert res.returncode == 0
+        assert res.stderr == "star-density: PASS (specs: 9, probes: 1)\n"
+
+    def test_negative_depth_is_data_error(self, workdir):
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [{"N": 64, "sets": [[0]]}]})
+        res = run_cli("verify-star", "--families", str(fams), "--depth", "-1",
+                      "--probe-bound", "2", "--search-bound", "64")
+        assert res.returncode == 65
+        assert "depth" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestVerifyStarStar:

@@ -251,6 +251,12 @@ class TestCheckDense:
     def test_plain_iterables_accepted(self):
         assert check_dense([0, 1, 2, 3, 4], 4, 16).ok
 
+    @pytest.mark.parametrize("members", [FinSet.full(16), list(range(16))])
+    def test_member_past_search_bound_is_no_witness(self, members):
+        # probe 4 is a member, but no index below the bound 4 extends it
+        rep = check_dense(members, 8, 4)
+        assert not rep.ok and rep.missing_probe == 4
+
 
 class TestLeastExtensionIndex:
     def test_empty_probe_takes_next_free(self):

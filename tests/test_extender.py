@@ -192,6 +192,26 @@ class TestPermutation:
     def test_identity(self):
         assert Permutation.identity(3).images == (0, 1, 2)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_set_images_equal_pointwise_oracle(self, data):
+        n = data.draw(st.integers(1, 70))
+        images = data.draw(st.permutations(range(n)))
+        full = (1 << n) - 1
+        s = FinSet(n, data.draw(st.one_of(st.just(0), st.just(full),
+                                          st.integers(0, full))))
+        p = Permutation(n, tuple(images))
+        assert p.apply_set(s).to_list() == sorted(images[x] for x in s)
+        assert p.inverse_apply_set(s).to_list() == \
+            [x for x in range(n) if images[x] in s]
+
+    def test_set_images_on_one_point(self):
+        p = Permutation.identity(1)
+        for s in (FinSet(1, 0), FinSet(1, 1)):
+            assert p.apply_set(s) == s == p.inverse_apply_set(s)
+        with pytest.raises(ValueError):
+            p.apply_set(FinSet(2, 1))
+
 
 class TestOrbitClosure:
     def test_one_layer_example(self):
@@ -266,6 +286,12 @@ class TestFindIndependentShuffle:
         assert rep.best_attempt == 1  # all attempts tie at min size 2
         assert rep.best_min_size == 2
         assert rep.permutation is None and rep.closure is None
+
+    def test_threshold_validated_up_front(self):
+        with pytest.raises(ValueError, match="threshold"):
+            find_independent_shuffle(
+                PartialInjection.empty(8), SWAP01, bit_family(2, 8),
+                threshold=0, depth=2, layers=1, budget=0, seed=5)
 
     def test_incompatible_input_raises(self):
         with pytest.raises(IncompatiblePair):

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab.finset import (CombinationSpec, Family, FinSet,
-                             bit_family, boolean_combination,
-                             combination_specs, is_independent, is_saturated,
+                             IndependenceReport, bit_family,
+                             boolean_combination, combination_masks,
+                             combination_specs, count_combinations,
+                             is_independent, is_saturated,
                              min_combination_size)
 
 
@@ -32,6 +34,17 @@ def families(draw, max_n=24, max_sets=4):
     sets = tuple(FinSet(n, draw(st.integers(0, (1 << n) - 1)))
                  for _ in range(count))
     return Family(n, sets)
+
+
+@st.composite
+def wide_families(draw):
+    """Up to 7 sets over 1..70 points (widths off the byte grid too), with
+    empty and full sets drawn often."""
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    masks = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    count = draw(st.integers(0, 7))
+    return Family(n, tuple(FinSet(n, draw(masks)) for _ in range(count)))
 
 
 class TestFinSet:
@@ -203,6 +216,48 @@ class TestIsIndependent:
             is_independent(fam, 0, 2)
         with pytest.raises(ValueError):
             is_independent(fam, 1, 3)
+
+
+class TestCombinationScan:
+    """The prefix-sharing scan against a spec-by-spec loop of
+    combination_specs and boolean_combination."""
+
+    @given(wide_families(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_equal_spec_by_spec_loop(self, family, data):
+        k = len(family.sets)
+        depth = data.draw(st.integers(0, k))
+        threshold = data.draw(st.integers(1, family.n + 1))
+        sizes = [(spec, len(boolean_combination(family, spec)))
+                 for spec in combination_specs(k, depth)]
+        smallest = min(size for _, size in sizes)
+        failing = [(spec, size) for spec, size in sizes if size < threshold]
+        if failing:
+            expected = IndependenceReport(False, *failing[0], threshold, depth)
+        else:
+            expected = IndependenceReport(True, None, smallest, threshold,
+                                          depth)
+        assert is_independent(family, threshold, depth) == expected
+        assert min_combination_size(family, depth) == smallest
+
+    @given(wide_families(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_masks_follow_spec_order(self, family, depth):
+        got = list(combination_masks(family, depth))
+        assert got == [(boolean_combination(family, spec).mask, spec.pos,
+                        spec.neg)
+                       for spec in combination_specs(len(family.sets), depth)]
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError):
+            next(combination_masks(bit_family(2, 4), -1))
+
+    def test_count_matches_enumeration(self):
+        for k in range(9):
+            for d in range(k + 2):
+                assert count_combinations(k, d) == \
+                    len(list(combination_specs(k, d)))
+        assert count_combinations(12, 4) == 9969  # a 12-set closure, d = 4
 
 
 class TestIsSaturated:

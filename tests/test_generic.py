@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab.codec import index_of_raw_code, nth_partial_fn
+from omegalab.codec import check_dense, index_of_raw_code, nth_partial_fn
 from omegalab.errors import GridOverflow, SearchExhausted
-from omegalab.finset import CombinationSpec, Family
+from omegalab.finset import (CombinationSpec, Family, FinSet,
+                             boolean_combination, combination_specs)
 from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                               GenericRun, TargetGrid, auto_schedule,
                               build_generic, check_all_combos_dense,
@@ -195,6 +196,12 @@ class TestBuildGeneric:
             assert w not in run.condition.elements
             assert w < run.decided_below  # decided, and decided out
 
+    def test_search_bound_past_universe_rejected(self):
+        with pytest.raises(ValueError, match="cannot exceed the universe"):
+            build_generic(no_sets(4096), ZERO_GRID, [in_demand()], 4097)
+        assert build_generic(no_sets(4096), ZERO_GRID, [in_demand()],
+                             4096).condition.elements == (0,)
+
     def test_empty_schedule(self):
         run = build_generic(no_sets(), ZERO_GRID, [], 1 << 12)
         assert not run.degraded and run.condition.elements == ()
@@ -251,6 +258,34 @@ class TestCheckAllCombosDense:
         rep = check_all_combos_dense(fams, probe_bound=4, search_bound=512)
         assert isinstance(rep, ComboDensityReport)
         assert rep.ok == (rep.failing_spec is None)
+
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_spec_by_spec_loop(self, data):
+        n = data.draw(st.integers(1, 70))
+        full = (1 << n) - 1
+        masks = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+        fam = Family(n, tuple(FinSet(n, data.draw(masks))
+                              for _ in range(data.draw(st.integers(0, 4)))))
+        depth = data.draw(st.integers(0, len(fam.sets) + 1))
+        probe_bound = data.draw(st.integers(1, 6))
+        search_bound = data.draw(st.integers(1, n))
+        expected = ComboDensityReport(True, None, None, probe_bound,
+                                      search_bound)
+        for spec in combination_specs(len(fam.sets), depth):
+            rep = check_dense(boolean_combination(fam, spec), probe_bound,
+                              search_bound)
+            if not rep.ok:
+                expected = ComboDensityReport(False, spec, rep.missing_probe,
+                                              probe_bound, search_bound)
+                break
+        assert check_all_combos_dense([fam], probe_bound, search_bound,
+                                      depth) == expected
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            check_all_combos_dense([Family(8, ())], 1, 8, -1)
 
 
 @st.composite
