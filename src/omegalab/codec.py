@@ -324,11 +324,12 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
     # the members that are probes and may witness themselves, as one small
-    # mask: testing a probe shifts these bits, not a whole FinSet's universe
+    # mask: testing a probe shifts these bits, not a whole FinSet's universe;
+    # the cut never passes the universe, whatever the bounds
     cut = min(probe_bound, search_bound)
     if isinstance(members, FinSet):
         ascending = members  # lazy, ascending
-        own = members.mask & ((1 << cut) - 1)
+        own = members.mask & ((1 << min(cut, members.n)) - 1)
     else:
         ascending = sorted(set(members))
         own = sum(1 << m for m in ascending if 0 <= m < cut)

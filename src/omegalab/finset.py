@@ -7,7 +7,9 @@ Combination checks share one scan, combination_masks: a pre-order
 depth-first walk over (pos, neg) in which each combination is one big-int
 AND of its parent's mask with a set or a precomputed complement, and each
 check one bit_count.  A family of k sets has sum_{j<=d} C(k,j)*2^j
-combinations of depth <= d (count_combinations).
+combinations of depth <= d (count_combinations).  combination_specs and
+is_saturated run the same walk: is_saturated over the points, each read as
+the k-bit set of the family members holding it.
 """
 
 from __future__ import annotations
@@ -173,38 +175,6 @@ def boolean_combination(family: Family, spec: CombinationSpec) -> FinSet:
     return FinSet(family.n, mask)
 
 
-def _sorted_tuples(pool: Sequence[int], max_len: int) -> Iterator[tuple[int, ...]]:
-    # ascending tuples over pool, in lexicographic order; () comes first
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        yield prefix
-        if len(prefix) == max_len:
-            return
-        for j in range(start, len(pool)):
-            yield from rec(prefix + (pool[j],), j + 1)
-
-    yield from rec((), 0)
-
-
-def combination_specs(count: int, depth: int) -> Iterator[CombinationSpec]:
-    """All disjoint (pos, neg) index pairs with |pos|+|neg| <= depth.
-
-    Enumerated pos-major in lexicographic tuple order, so the first failing
-    spec a scan reports is the lexicographically least one.
-    """
-    indices = list(range(count))
-    for pos in _sorted_tuples(indices, depth):
-        rest = [i for i in indices if i not in pos]
-        for neg in _sorted_tuples(rest, depth - len(pos)):
-            yield CombinationSpec(pos, neg)
-
-
-def count_combinations(count: int, depth: int) -> int:
-    """How many specs combination_specs(count, depth) lists: each of the
-    C(count, j) index sets of size j <= depth splits into pos and neg in 2^j
-    ways."""
-    return sum(comb(count, j) << j for j in range(min(count, depth) + 1))
-
-
 def _prefix_masks(pool: Sequence[int], table: Sequence[int], base: int,
                   max_len: int, chosen: list[int]) -> Iterator[int]:
     # ascending tuples over pool in lexicographic pre-order, () first, as
@@ -229,6 +199,42 @@ def _prefix_masks(pool: Sequence[int], table: Sequence[int], base: int,
             return
 
 
+def _combinations(masks: Sequence[int], full: int, depth: int
+                  ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    # (full AND masks[pos] AND complements[neg], pos, neg) of every disjoint
+    # pos, neg with |pos|+|neg| <= depth, pos-major in lexicographic order:
+    # the pos tuples over all indices, under each the neg tuples over the rest
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    complements = [full ^ m for m in masks]
+    indices = range(len(masks))
+    pos: list[int] = []
+    neg: list[int] = []
+    for pos_mask in _prefix_masks(indices, masks, full, depth, pos):
+        rest = [i for i in indices if i not in pos]
+        pos_t = tuple(pos)
+        for mask in _prefix_masks(rest, complements, pos_mask,
+                                  depth - len(pos), neg):
+            yield mask, pos_t, tuple(neg)
+
+
+def combination_specs(count: int, depth: int) -> Iterator[CombinationSpec]:
+    """All disjoint (pos, neg) index pairs with |pos|+|neg| <= depth.
+
+    Enumerated pos-major in lexicographic tuple order, so the first failing
+    spec a scan reports is the lexicographically least one.
+    """
+    for _, pos, neg in _combinations([0] * count, 0, depth):
+        yield CombinationSpec(pos, neg)
+
+
+def count_combinations(count: int, depth: int) -> int:
+    """How many specs combination_specs(count, depth) lists: each of the
+    C(count, j) index sets of size j <= depth splits into pos and neg in 2^j
+    ways."""
+    return sum(comb(count, j) << j for j in range(min(count, depth) + 1))
+
+
 def combination_masks(family: Family, depth: int
                       ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """(mask, pos, neg) of every combination of depth <= `depth`, in the
@@ -238,19 +244,8 @@ def combination_masks(family: Family, depth: int
     One pre-order walk: the pos tuples over the sets, and under each the neg
     tuples over the remaining sets against precomputed complements.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    masks = [s.mask for s in family.sets]
-    full = (1 << family.n) - 1
-    complements = [full ^ m for m in masks]
-    pos: list[int] = []
-    neg: list[int] = []
-    for pos_mask in _prefix_masks(range(len(masks)), masks, full, depth, pos):
-        rest = [i for i in range(len(masks)) if i not in pos]
-        pos_t = tuple(pos)
-        for mask in _prefix_masks(rest, complements, pos_mask,
-                                  depth - len(pos), neg):
-            yield mask, pos_t, tuple(neg)
+    return _combinations([s.mask for s in family.sets], (1 << family.n) - 1,
+                         depth)
 
 
 def _check_depth(family: Family, depth: int) -> None:
@@ -293,21 +288,16 @@ def is_saturated(family: Family, bound: int) -> SaturationReport:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    points = list(range(family.n))
-    for p in _sorted_tuples(points, bound):
-        p_mask = 0
-        for x in p:
-            p_mask |= 1 << x
-        rest = [x for x in points if x not in p]
-        for q in _sorted_tuples(rest, bound - len(p)):
-            if not p and not q:
-                continue
-            q_mask = 0
-            for x in q:
-                q_mask |= 1 << x
-            if not any(s.mask & p_mask == p_mask and s.mask & q_mask == 0
-                       for s in family.sets):
-                return SaturationReport(False, (p, q), bound)
+    # read each point as the set of family indices whose set holds it: a
+    # demand (p, q) is met iff the combination (pos p, neg q) of these
+    # columns is non-empty
+    columns = [0] * family.n
+    for i, s in enumerate(family.sets):
+        for x in s:
+            columns[x] |= 1 << i
+    for mask, p, q in _combinations(columns, (1 << len(family.sets)) - 1, bound):
+        if not mask and (p or q):
+            return SaturationReport(False, (p, q), bound)
     return SaturationReport(True, None, bound)
 
 

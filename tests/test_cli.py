@@ -101,6 +101,15 @@ class TestGenFamilyAndChecks:
         assert bad.returncode == 1
         assert json.loads(bad.stdout)["witness"] == {"p": [], "q": [0, 1]}
 
+    def test_deep_saturation_witness(self, workdir):
+        # a witness 1 100 points deep, past Python's recursion limit
+        fam = workdir / "deep.json"
+        write_json(str(fam), {"N": 1500, "sets": [[1099]]})
+        res = run_cli("check-saturation", "--family", str(fam), "--s", "1200")
+        assert res.returncode == 1
+        assert json.loads(res.stdout)["witness"] == {
+            "p": [], "q": list(range(1100))}
+
     def test_missing_family_file(self):
         res = run_cli("check-indep", "--family", "/nonexistent/f.json",
                       "--t", "2")
@@ -262,6 +271,17 @@ class TestVerifyStar:
         assert res.returncode == 1
         obj = json.loads(res.stdout)
         assert obj["failing"] == {"pos": [0], "neg": [], "probe": 1}
+
+    def test_huge_bounds_fail_at_once(self, workdir):
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [{"N": 64, "sets": [[0]]}]})
+        res = run_cli("verify-star", "--families", str(fams),
+                      "--probe-bound", str(10 ** 12),
+                      "--search-bound", str(10 ** 12))
+        assert res.returncode == 1
+        obj = json.loads(res.stdout)
+        # the empty combination, the whole 64-point universe, fails first
+        assert obj["failing"] == {"pos": [], "neg": [], "probe": 64}
 
     def test_parity_split_passes(self, workdir):
         fams = workdir / "fams.json"

@@ -257,6 +257,14 @@ class TestCheckDense:
         rep = check_dense(members, 8, 4)
         assert not rep.ok and rep.missing_probe == 4
 
+    @pytest.mark.parametrize("members, missing", [
+        (FinSet.from_members(64, [0]), 1), (FinSet.full(64), 64)])
+    def test_huge_bounds_cut_at_the_universe(self, members, missing):
+        # the probes' mask stops at the set's universe: bounds of 10**12 give
+        # the first missing probe at once, with no 10**12-bit integer
+        rep = check_dense(members, 10 ** 12, 10 ** 12)
+        assert not rep.ok and rep.missing_probe == missing
+
 
 class TestLeastExtensionIndex:
     def test_empty_probe_takes_next_free(self):

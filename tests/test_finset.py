@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +253,8 @@ class TestCombinationScan:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             next(combination_masks(bit_family(2, 4), -1))
+        with pytest.raises(ValueError):
+            next(combination_specs(2, -1))
 
     def test_count_matches_enumeration(self):
         for k in range(9):
@@ -282,3 +286,29 @@ class TestIsSaturated:
         n = 4
         fam = Family(n, tuple(FinSet(n, mask) for mask in range(1 << n)))
         assert is_saturated(fam, n).ok
+
+    @given(families(max_n=7, max_sets=4), st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_equals_brute_force(self, family, bound):
+        # every demand of 1..bound points, each tried against every member;
+        # Python's tuple order is the lexicographic pre-order of the walk
+        unmet = []
+        for size in range(1, bound + 1):
+            for points in itertools.combinations(range(family.n), size):
+                for inside in itertools.product((True, False), repeat=size):
+                    p = tuple(x for x, i in zip(points, inside) if i)
+                    q = tuple(x for x, i in zip(points, inside) if not i)
+                    if not any(all(x in s for x in p) and
+                               not any(x in s for x in q)
+                               for s in family.sets):
+                        unmet.append((p, q))
+        rep = is_saturated(family, bound)
+        assert rep.ok == (not unmet)
+        assert rep.witness == (min(unmet) if unmet else None)
+
+    def test_deep_first_witness_needs_no_recursion(self):
+        # the walk reaches q = (0..1099) through its 1 099 prefixes, all met
+        # by the one set {1099}; a frame per point would pass Python's limit
+        fam = Family.from_lists(1500, [[1099]])
+        rep = is_saturated(fam, 1200)
+        assert rep.witness == ((), tuple(range(1100)))
