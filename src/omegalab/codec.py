@@ -18,8 +18,10 @@ Ranking a code of k entries takes k closed-form counts, each divided by the
 factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
 The least extension of a probe past a code is built digit by digit in one
 top-down scan of the positions below the search bound, plus one rank.
-Density checks and searches within a member set merge the members with the
-probe's extensions in index order, so they decode no member.
+nth_partial_fn builds its function from the walk's (group, value) pairs
+without re-validating them: the walk yields a functional code by
+construction.  Density checks and searches within a member set merge the
+members with the probe's extensions in index order, so they decode no member.
 `raw_code_of_index` reads its first 120 960 answers (every code with all
 slots below bit 30) from a sorted table built on first use, about 7 MB, so
 callers that scan many consecutive small indices pay O(1) per lookup; every
@@ -96,10 +98,6 @@ class PartialFn:
         rows.sort()
         return cls(tuple(r[1] for r in rows))
 
-    @classmethod
-    def from_point_map(cls, mapping: dict[tuple[int, int, int], int]) -> "PartialFn":
-        return cls.from_entries((a, b, i, v) for (a, b, i), v in mapping.items())
-
     @cached_property
     def _by_point(self) -> dict[tuple[int, int, int], int]:
         return {(a, b, i): v for a, b, i, v in self.entries}
@@ -148,15 +146,6 @@ def is_functional_raw(raw: int) -> bool:
         seen.add(g)
         raw ^= low
     return True
-
-
-def partial_fn_from_raw(raw: int) -> PartialFn:
-    entries = []
-    while raw:
-        low = raw & -raw
-        entries.append(slot_decode(low.bit_length() - 1))
-        raw ^= low
-    return PartialFn.from_entries(entries)
 
 
 # --- counting machinery -----------------------------------------------------
@@ -290,9 +279,11 @@ def index_of_raw_code(raw: int) -> int:
 
 
 def nth_partial_fn(m: int) -> PartialFn:
-    """The m-th partial function in the canonical enumeration."""
-    return PartialFn.from_entries((*point_decode(g), v)
-                                  for _, g, v in _unrank_walk(m))
+    """The m-th partial function in the canonical enumeration, built straight
+    from the walk: its groups are distinct point codes, so sorting by group
+    gives the entry order and nothing needs checking again."""
+    pairs = sorted((g, v) for _, g, v in _unrank_walk(m))
+    return PartialFn(tuple((*point_decode(g), v) for g, v in pairs))
 
 
 def partial_fn_index(fn: PartialFn) -> int:

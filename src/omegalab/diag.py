@@ -42,14 +42,11 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
     entries = []
-    for m in range(rows):
-        fn = nth_partial_fn(perm.apply(m))
-        entries.extend((m, b, 0, v) for a, b, i, v in fn.entries
-                       if a == m and i == 0 and b < cols)
-    for m in range(rows):
-        fn = nth_partial_fn(perm.inverse_apply(m))
-        entries.extend((m, b, 1, v) for a, b, i, v in fn.entries
-                       if a == m and i == 1 and b < cols)
+    for layer, index_of in ((0, perm.apply), (1, perm.inverse_apply)):
+        for m in range(rows):
+            fn = nth_partial_fn(index_of(m))
+            entries.extend((m, b, layer, v) for a, b, i, v in fn.entries
+                           if a == m and i == layer and b < cols)
     return PartialFn.from_entries(entries)
 
 
@@ -163,9 +160,6 @@ class LazyPermutation:
                 self._fwd[x] = y
                 self._bwd[y] = x
                 return x
-
-    def sampled_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._fwd.items()))
 
 
 @dataclass(frozen=True)

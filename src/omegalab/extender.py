@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from .config import HOMOG_TAG, child_seed
 from .errors import (CardinalityMismatch, IncompatiblePair,
                      InducedMapNotPermutation)
-from .finset import Family, FinSet, IndependenceReport, min_combination_size
+from .finset import (Family, FinSet, IndependenceReport, full_mask,
+                     min_combination_size)
 
 
 def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
@@ -124,12 +125,6 @@ class AtomDecomposition:
     signatures: tuple[int, ...]
     action: tuple[int, ...]
 
-    def position_of(self, x: int) -> int:
-        for k, atom in enumerate(self.atoms):
-            if x in atom:
-                return k
-        raise ValueError(f"{x} outside the universe [0, {self.n})")
-
 
 def _cell(full: int, set_masks: Sequence[int], sig: int) -> int:
     """Points lying in the j-th set exactly when bit j of sig is set."""
@@ -150,7 +145,7 @@ def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
     for j in dom:
         if not (0 <= j < count and 0 <= g.apply(j) < count):
             raise ValueError(f"family map touches index outside [0, {count})")
-    full = (1 << family.n) - 1
+    full = full_mask(family.n)
     source_masks = [family.sets[j].mask for j in dom]
     image_masks = [family.sets[g.apply(j)].mask for j in dom]
     pos_by_mask: dict[int, int] = {}  # nonempty cells, ascending signature
@@ -235,7 +230,11 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.n or sorted(self.images) != list(range(self.n)):
+        # n distinct images inside [0, n) are a bijection: O(n) to check
+        images = self.images
+        if (len(images) != self.n or len(set(images)) != self.n
+                or min(images, default=0) < 0
+                or max(images, default=-1) >= self.n):
             raise ValueError("images must list each point of [0, n) exactly once")
 
     @classmethod

@@ -2,6 +2,9 @@
 
 Sets over the universe {0..n-1} are stored as integer bitmasks, which keeps
 intersections and complements cheap even for universes of a million points.
+A check that needs the whole universe as one mask takes it from full_mask,
+which refuses universes past MAX_UNIVERSE (2^26 points, 8 MiB) with a
+ValueError instead of asking for an integer the input does not need.
 
 Combination checks share one scan, combination_masks: a pre-order
 depth-first walk over (pos, neg) in which each combination is one big-int
@@ -17,6 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
+
+
+# The largest universe a check builds as one mask: 2^26 points, an 8 MiB
+# integer.  Sets and families may be larger, as long as no check needs the
+# whole universe at once (a chain search over a sparse family does not).
+MAX_UNIVERSE = 1 << 26
+
+
+def full_mask(n: int) -> int:
+    """The mask of the whole universe {0..n-1}, refused past MAX_UNIVERSE."""
+    if n > MAX_UNIVERSE:
+        raise ValueError(f"universe of {n} points is past the cap of "
+                         f"{MAX_UNIVERSE} for checks that build it as one mask")
+    return (1 << n) - 1
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -52,10 +69,6 @@ class FinSet:
             mask |= 1 << x
         return cls(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "FinSet":
-        return cls(n, (1 << n) - 1)
-
     def members(self) -> Iterator[int]:
         return _iter_bits(self.mask)
 
@@ -70,29 +83,6 @@ class FinSet:
 
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.n and (self.mask >> x) & 1 == 1
-
-    def _check_same_universe(self, other: "FinSet") -> None:
-        if self.n != other.n:
-            raise ValueError("sets live in different universes")
-
-    def union(self, other: "FinSet") -> "FinSet":
-        self._check_same_universe(other)
-        return FinSet(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "FinSet") -> "FinSet":
-        self._check_same_universe(other)
-        return FinSet(self.n, self.mask & other.mask)
-
-    def difference(self, other: "FinSet") -> "FinSet":
-        self._check_same_universe(other)
-        return FinSet(self.n, self.mask & ~other.mask)
-
-    def complement(self) -> "FinSet":
-        return FinSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
-    def is_subset(self, other: "FinSet") -> bool:
-        self._check_same_universe(other)
-        return self.mask & ~other.mask == 0
 
 
 @dataclass(frozen=True)
@@ -167,7 +157,7 @@ def boolean_combination(family: Family, spec: CombinationSpec) -> FinSet:
     for idx in spec.pos + spec.neg:
         if not 0 <= idx < count:
             raise ValueError(f"index {idx} out of range for family of {count} sets")
-    mask = (1 << family.n) - 1
+    mask = full_mask(family.n)
     for idx in spec.pos:
         mask &= family.sets[idx].mask
     for idx in spec.neg:
@@ -244,7 +234,7 @@ def combination_masks(family: Family, depth: int
     One pre-order walk: the pos tuples over the sets, and under each the neg
     tuples over the remaining sets against precomputed complements.
     """
-    return _combinations([s.mask for s in family.sets], (1 << family.n) - 1,
+    return _combinations([s.mask for s in family.sets], full_mask(family.n),
                          depth)
 
 
@@ -305,9 +295,9 @@ def bit_family(k: int, n: int) -> Family:
     """The family [A_0..A_{k-1}] over {0..n-1} with A_j = {x : bit j of x set}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if 1 << k > n:
+    if n < 1 or k >= n.bit_length():  # 2^k <= n, without building 2^k
         raise ValueError(f"bit_family needs 2^k <= n, got k={k}, n={n}")
-    universe = (1 << n) - 1
+    universe = full_mask(n)
     sets = []
     for j in range(k):
         block = 1 << j

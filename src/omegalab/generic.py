@@ -63,13 +63,13 @@ class TargetGrid:
 
 
 def row_match_column(fn: PartialFn, m: int, i: int, grid: TargetGrid) -> Optional[int]:
-    """Least column k < cols where fn(m,k,i) is defined and equals the grid."""
-    best: Optional[int] = None
+    """Least column k < cols where fn(m,k,i) is defined and equals the grid:
+    the first match, as entries run in point-code order, which for one (m, i)
+    is column order."""
     for a, b, ii, v in fn.entries:
         if a == m and ii == i and b < grid.cols and v == grid.values[(m * grid.cols + b) * 2 + i]:
-            if best is None or b < best:
-                best = b
-    return best
+            return b
+    return None
 
 
 def _pairwise_witness(elements: Sequence[int], grid: TargetGrid
@@ -78,15 +78,15 @@ def _pairwise_witness(elements: Sequence[int], grid: TargetGrid
 
     Only the rows of non-maximal elements are consulted, so the largest
     element may lie beyond the grid; a non-maximal element at or past
-    grid.rows raises GridOverflow.
+    grid.rows raises GridOverflow.  Each later element is decoded once.
     """
+    later = [nth_partial_fn(n) for n in elements[1:]]
     for pos_m, m in enumerate(elements):
         if pos_m < len(elements) - 1 and m >= grid.rows:
             raise GridOverflow(
                 f"element {m} is paired below a later element but the grid "
                 f"has only {grid.rows} rows")
-        for n in elements[pos_m + 1:]:
-            fn = nth_partial_fn(n)
+        for n, fn in zip(elements[pos_m + 1:], later[pos_m:]):
             for i in (0, 1):
                 if row_match_column(fn, m, i, grid) is None:
                     return (m, n, i)

@@ -6,6 +6,7 @@ would, and pins the documented exit statuses: 0 pass, 1 violation,
 """
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -365,6 +366,45 @@ class TestDiagExperiment:
     def test_missing_config(self):
         res = run_cli("diag-experiment", "--config", "/nonexistent/cfg.json")
         assert res.returncode == 66
+
+
+def run_cli_capped(*args):
+    # a 1 GiB address-space cap: a build of a huge mask fails in the child
+    # instead of taking the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "omegalab", *args],
+                          capture_output=True, text=True, preexec_fn=cap,
+                          timeout=120)
+
+
+class TestUniverseCap:
+    HUGE = 10 ** 12
+
+    def assert_refused(self, res):
+        assert res.returncode == 65
+        assert res.stderr.count("\n") == 1
+        assert "past the cap" in res.stderr
+
+    def test_check_indep(self, workdir):
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": self.HUGE, "sets": [[0], [1]]})
+        self.assert_refused(run_cli_capped("check-indep", "--family",
+                                           str(fam), "--t", "1"))
+
+    def test_gen_family(self):
+        self.assert_refused(run_cli_capped("gen-family", "--k", "2", "--n",
+                                           str(self.HUGE)))
+
+    def test_gen_family_huge_k_builds_no_power(self):
+        res = run_cli_capped("gen-family", "--k", str(self.HUGE), "--n", "8")
+        assert res.returncode == 65 and "2^k <= n" in res.stderr
+
+    def test_diag_experiment(self, workdir):
+        cfg = workdir / "config.json"
+        write_json(str(cfg), dict(SMOKE_CONFIG, N=self.HUGE))
+        self.assert_refused(run_cli_capped("diag-experiment", "--config",
+                                           str(cfg)))
 
 
 class TestUsageAndEnvironment:

@@ -11,8 +11,8 @@ from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
                             count_functional_below, entry_slot,
                             index_of_raw_code, is_functional_raw,
                             least_extension_index, nth_partial_fn,
-                            partial_fn_from_raw, partial_fn_index, point_code,
-                            point_decode, raw_code_of_index, slot_decode)
+                            partial_fn_index, point_code, point_decode,
+                            raw_code_of_index, slot_decode)
 from omegalab.finset import FinSet
 
 
@@ -136,10 +136,10 @@ class TestSpotValues:
 
     def test_low_inverse_values(self):
         assert partial_fn_index(EMPTY_FN) == 0
-        assert partial_fn_index(PartialFn.from_point_map({(0, 0, 0): 0})) == 1
+        assert partial_fn_index(PartialFn.from_entries([(0, 0, 0, 0)])) == 1
         assert partial_fn_index(
-            PartialFn.from_point_map({(0, 0, 0): 0, (0, 0, 1): 0})) == 3
-        assert partial_fn_index(PartialFn.from_point_map({(0, 0, 0): 1})) == 4
+            PartialFn.from_entries([(0, 0, 0, 0), (0, 0, 1, 0)])) == 3
+        assert partial_fn_index(PartialFn.from_entries([(0, 0, 0, 1)])) == 4
 
 
 class TestRoundTrips:
@@ -153,6 +153,15 @@ class TestRoundTrips:
         assert partial_fn_index(nth_partial_fn(m)) == m
         assert nth_partial_fn(m).raw_code == raw_code_of_index(m)
 
+    @given(st.integers(0, 10 ** 60))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_builds_the_validated_function(self, m):
+        # nth_partial_fn skips from_entries: its output must be what the
+        # validating constructor makes of the same entries, and rank back
+        fn = nth_partial_fn(m)
+        assert fn == PartialFn.from_entries(fn.entries)
+        assert partial_fn_index(fn) == m
+
     def test_raw_codes_strictly_increase(self):
         raws = [raw_code_of_index(m) for m in range(4000)]
         assert all(x < y for x, y in zip(raws, raws[1:]))
@@ -163,8 +172,8 @@ class TestRoundTrips:
            st.data())
     @settings(max_examples=80)
     def test_fn_roundtrip_via_index(self, points, data):
-        fn = PartialFn.from_point_map(
-            {p: data.draw(st.integers(0, 3)) for p in points})
+        fn = PartialFn.from_entries(
+            (*p, data.draw(st.integers(0, 3))) for p in points)
         assert nth_partial_fn(partial_fn_index(fn)) == fn
 
     def test_deep_single_slot_values(self):
@@ -179,13 +188,13 @@ class TestRoundTrips:
         points = [point_decode(pc) for pc in range(4)]
         seen = set()
         for assignment in range(5 ** 4):
-            mapping = {}
+            entries = []
             rest = assignment
             for p in points:
                 rest, choice = divmod(rest, 5)
                 if choice:
-                    mapping[p] = choice - 1
-            fn = PartialFn.from_point_map(mapping)
+                    entries.append((*p, choice - 1))
+            fn = PartialFn.from_entries(entries)
             m = partial_fn_index(fn)
             assert nth_partial_fn(m) == fn
             seen.add(m)
@@ -204,22 +213,22 @@ class TestPartialFn:
             PartialFn.from_entries([(0, 0, 0, -1)])
 
     def test_lookup_is_explicitly_absent(self):
-        fn = PartialFn.from_point_map({(1, 2, 0): 5})
+        fn = PartialFn.from_entries([(1, 2, 0, 5)])
         assert fn.value_at(1, 2, 0) == 5
         assert fn.value_at(1, 2, 1) is None
         assert not fn.defined_at(0, 0, 0)
 
     def test_extends(self):
-        small = PartialFn.from_point_map({(0, 0, 0): 0})
-        big = PartialFn.from_point_map({(0, 0, 0): 0, (1, 0, 1): 3})
-        clash = PartialFn.from_point_map({(0, 0, 0): 1})
+        small = PartialFn.from_entries([(0, 0, 0, 0)])
+        big = PartialFn.from_entries([(0, 0, 0, 0), (1, 0, 1, 3)])
+        clash = PartialFn.from_entries([(0, 0, 0, 1)])
         assert big.extends(small)
         assert big.extends(EMPTY_FN) and small.extends(small)
         assert not small.extends(big)
         assert not clash.extends(small)
 
     def test_huge_points_carry_no_raw_code(self):
-        fn = PartialFn.from_point_map({(10**8, 0, 0): 0})
+        fn = PartialFn.from_entries([(10**8, 0, 0, 0)])
         with pytest.raises(ValueError):
             _ = fn.raw_code
         with pytest.raises(ValueError):
@@ -251,14 +260,14 @@ class TestCheckDense:
     def test_plain_iterables_accepted(self):
         assert check_dense([0, 1, 2, 3, 4], 4, 16).ok
 
-    @pytest.mark.parametrize("members", [FinSet.full(16), list(range(16))])
+    @pytest.mark.parametrize("members", [FinSet(16, 0xFFFF), list(range(16))])
     def test_member_past_search_bound_is_no_witness(self, members):
         # probe 4 is a member, but no index below the bound 4 extends it
         rep = check_dense(members, 8, 4)
         assert not rep.ok and rep.missing_probe == 4
 
     @pytest.mark.parametrize("members, missing", [
-        (FinSet.from_members(64, [0]), 1), (FinSet.full(64), 64)])
+        (FinSet.from_members(64, [0]), 1), (FinSet(64, (1 << 64) - 1), 64)])
     def test_huge_bounds_cut_at_the_universe(self, members, missing):
         # the probes' mask stops at the set's universe: bounds of 10**12 give
         # the first missing probe at once, with no 10**12-bit integer
@@ -273,13 +282,13 @@ class TestLeastExtensionIndex:
         assert least_extension_index(EMPTY_FN, -1, 100, without=[0, 1, 3]) == 2
 
     def test_search_respects_probe(self):
-        probe = PartialFn.from_point_map({(0, 0, 0): 0, (0, 0, 1): 0})
+        probe = PartialFn.from_entries([(0, 0, 0, 0), (0, 0, 1, 0)])
         assert least_extension_index(probe, -1, 1 << 20) == 3
         assert least_extension_index(probe, 3, 1 << 20) == \
             index_of_raw_code(0b1011)  # next raw containing slots {0, 1}
 
     def test_within_path(self):
-        probe = PartialFn.from_point_map({(0, 0, 0): 0})
+        probe = PartialFn.from_entries([(0, 0, 0, 0)])
         assert least_extension_index(probe, -1, 1 << 20, within=[0, 2, 3]) == 3
         assert least_extension_index(probe, -1, 1 << 20, within=[0, 2]) is None
         # the least extension (0) is no member, the member right after it is
@@ -288,11 +297,11 @@ class TestLeastExtensionIndex:
                                      without=[1]) == 3
 
     def test_unreachable_slots_return_none(self):
-        probe = PartialFn.from_point_map({(50, 0, 0): 0})
+        probe = PartialFn.from_entries([(50, 0, 0, 0)])
         assert least_extension_index(probe, -1, 1 << 20) is None
 
     def test_bound_is_exclusive(self):
-        probe = PartialFn.from_point_map({(0, 0, 0): 0})
+        probe = PartialFn.from_entries([(0, 0, 0, 0)])
         assert least_extension_index(probe, 0, 2) == 1
         assert least_extension_index(probe, 1, 2) is None
 
@@ -404,6 +413,6 @@ class TestCountingPath:
         assert least_extension_index(nth_partial_fn(100), -1, 100) is None
         assert least_extension_index(nth_partial_fn(100), -1, 101) == 100
         # the probe's one slot lies past every slot of the bound's code
-        probe = PartialFn.from_point_map({(3, 0, 0): 0})
+        probe = PartialFn.from_entries([(3, 0, 0, 0)])
         assert probe.slots[-1] >= raw_code_of_index(120_960).bit_length()
         assert least_extension_index(probe, -1, 120_960) is None

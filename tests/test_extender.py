@@ -12,7 +12,8 @@ from omegalab.extender import (AtomShuffle, FamilyMap, HomogenizeParams,
                                build_permutation, check_compatible,
                                find_independent_shuffle, homogenize,
                                orbit_closure, shuffle_sizes)
-from omegalab.finset import Family, FinSet, bit_family, is_independent
+from omegalab.finset import (MAX_UNIVERSE, Family, FinSet, bit_family,
+                             is_independent)
 
 SWAP01 = FamilyMap.from_dict({0: 1, 1: 0})
 
@@ -45,7 +46,6 @@ class TestAtoms:
             [[0, 4], [1, 5], [2, 6], [3, 7]]
         assert dec.signatures == (0, 1, 2, 3)
         assert dec.action == (0, 2, 1, 3)
-        assert dec.position_of(6) == 2
 
     def test_empty_map_gives_one_cell(self):
         dec = atoms_of(FamilyMap(()), halves4())
@@ -61,6 +61,11 @@ class TestAtoms:
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             atoms_of(FamilyMap.from_dict({0: 5}), halves4())
+
+    def test_universe_past_the_cap_refused(self):
+        fam = Family.from_lists(MAX_UNIVERSE + 1, [[0]])
+        with pytest.raises(ValueError, match="past the cap"):
+            atoms_of(FamilyMap(((0, 0),)), fam)
 
 
 class TestCompatibility:
@@ -181,6 +186,12 @@ class TestPermutation:
             Permutation(3, (0, 0, 2))
         with pytest.raises(ValueError):
             Permutation(3, (0, 1))
+
+    @pytest.mark.parametrize("images", [(0, 2, 2), (1, 1, 0), (0, 1, 3),
+                                        (-1, 0, 1), (0, 1, 2, 2)])
+    def test_repeated_or_outside_image_rejected(self, images):
+        with pytest.raises(ValueError):
+            Permutation(3, images)
 
     def test_inverse(self):
         p = Permutation(4, (2, 0, 3, 1))

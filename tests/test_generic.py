@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab.codec import check_dense, index_of_raw_code, nth_partial_fn
+from omegalab import generic
+from omegalab.codec import (PartialFn, check_dense, index_of_raw_code,
+                            nth_partial_fn)
 from omegalab.errors import GridOverflow, SearchExhausted
 from omegalab.finset import (CombinationSpec, Family, FinSet,
                              boolean_combination, combination_specs)
@@ -83,6 +85,17 @@ class TestIsCondition:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             is_condition([-1], ZERO_GRID)
+
+    def test_each_later_element_decoded_once(self, monkeypatch):
+        # every decoded function echoes rows 0..3 with zeros, so any chain
+        # below the grid's rows passes and every pair is checked
+        echo = PartialFn.from_entries(
+            (m, 0, i, 0) for m in range(ZERO_GRID.rows) for i in (0, 1))
+        decoded = []
+        monkeypatch.setattr(generic, "nth_partial_fn",
+                            lambda n: decoded.append(n) or echo)
+        assert is_condition([0, 1, 2, 3, 9], ZERO_GRID).ok
+        assert sorted(decoded) == [1, 2, 3, 9]
 
 
 class TestCondition:
