@@ -29,7 +29,8 @@ from .jsonio import (canonical_dumps, extension_demand_from_obj,
                      families_from_obj, family_from_obj, family_to_obj,
                      finset_from_obj, grid_from_obj, partial_fn_from_obj,
                      partial_fn_to_obj, permutation_from_obj, read_json,
-                     schedule_from_obj, schedule_to_obj, write_json)
+                     schedule_from_obj, schedule_to_obj, spec_to_obj,
+                     write_json)
 
 EX_OK = 0
 EX_VIOLATION = 1
@@ -63,8 +64,22 @@ def _emit(obj: Any, out: Optional[str]) -> None:
         _say(f"wrote {out}")
 
 
-def _spec_str(pos, neg) -> str:
-    return f"pos={list(pos)} neg={list(neg)}"
+def _spec_str(spec) -> str:
+    return f"pos={list(spec.pos)} neg={list(spec.neg)}"
+
+
+def _say_independence(rep) -> None:
+    if rep.ok:
+        _say(f"independence: PASS (t={rep.threshold}, d={rep.depth}, "
+             f"min size {rep.size_found})")
+    else:
+        _say(f"independence: FAIL ({_spec_str(rep.failing)}, "
+             f"size {rep.size_found})")
+
+
+def _degraded(run) -> str:
+    return (f"DEGRADED ({run.failure_kind} at demand {run.failed_at}, "
+            f"|A| = {len(run.condition.elements)})")
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -83,17 +98,11 @@ def _cmd_check_indep(args) -> int:
     obj = {
         "ok": rep.ok, "t": rep.threshold, "d": rep.depth,
         "size_found": rep.size_found,
-        "failing": None if rep.failing is None else
-        {"pos": list(rep.failing.pos), "neg": list(rep.failing.neg)},
+        "failing": None if rep.failing is None else spec_to_obj(rep.failing),
     }
     _emit(obj, args.out)
-    if rep.ok:
-        _say(f"independence: PASS (t={rep.threshold}, d={rep.depth}, "
-             f"min size {rep.size_found})")
-        return EX_OK
-    _say(f"independence: FAIL ({_spec_str(rep.failing.pos, rep.failing.neg)}, "
-         f"size {rep.size_found})")
-    return EX_VIOLATION
+    _say_independence(rep)
+    return EX_OK if rep.ok else EX_VIOLATION
 
 
 def _cmd_check_saturation(args) -> int:
@@ -193,13 +202,11 @@ def _cmd_build_generic(args) -> int:
         "failed_at": run.failed_at,
     }
     _emit(obj, args.out)
-    size = len(run.condition.elements)
     if run.degraded:
-        _say(f"build-generic: DEGRADED ({run.failure_kind} at demand "
-             f"{run.failed_at}, |A| = {size})")
+        _say(f"build-generic: {_degraded(run)}")
         return EX_DEGRADED
-    _say(f"build-generic: OK (|A| = {size}, met {len(run.steps)}/"
-         f"{run.schedule_length} demands)")
+    _say(f"build-generic: OK (|A| = {len(run.condition.elements)}, met "
+         f"{len(run.steps)}/{run.schedule_length} demands)")
     return EX_OK
 
 
@@ -213,17 +220,14 @@ def _cmd_verify_star(args) -> int:
         "ok": rep.ok, "probe_bound": rep.probe_bound,
         "search_bound": rep.search_bound, "depth": depth,
         "failing": None if rep.failing_spec is None else {
-            "pos": list(rep.failing_spec.pos),
-            "neg": list(rep.failing_spec.neg),
-            "probe": rep.failing_probe,
-        },
+            **spec_to_obj(rep.failing_spec), "probe": rep.failing_probe},
     }
     _emit(obj, args.out)
     specs = count_combinations(total, depth)
     if rep.ok:
         _say(f"star-density: PASS (specs: {specs}, probes: {rep.probe_bound})")
         return EX_OK
-    _say(f"star-density: FAIL ({_spec_str(rep.failing_spec.pos, rep.failing_spec.neg)}, "
+    _say(f"star-density: FAIL ({_spec_str(rep.failing_spec)}, "
          f"probe {rep.failing_probe})")
     return EX_VIOLATION
 
@@ -248,24 +252,17 @@ def _cmd_diag_experiment(args) -> int:
     report = run_pipeline(config)
     _emit(report.to_json_obj(), args.out)
     for b in report.builds:
-        size = len(b.run.condition.elements)
         if b.run.degraded:
-            _say(f"build {b.index}: DEGRADED ({b.run.failure_kind} at demand "
-                 f"{b.run.failed_at}, |A| = {size})")
+            _say(f"build {b.index}: {_degraded(b.run)}")
         else:
-            _say(f"build {b.index}: OK (|A| = {size})")
+            _say(f"build {b.index}: OK (|A| = {len(b.run.condition.elements)})")
     indep = report.independence
-    if indep.ok:
-        _say(f"independence: PASS (t={indep.threshold}, d={indep.depth}, "
-             f"min size {indep.size_found})")
-    else:
-        _say(f"independence: FAIL ({_spec_str(indep.failing.pos, indep.failing.neg)}, "
-             f"size {indep.size_found})")
+    _say_independence(indep)
     dens = report.density
     if dens.ok:
         _say(f"density: PASS (probes: {dens.probe_bound})")
     else:
-        _say(f"density: FAIL ({_spec_str(dens.failing_spec.pos, dens.failing_spec.neg)}, "
+        _say(f"density: FAIL ({_spec_str(dens.failing_spec)}, "
              f"probe {dens.failing_probe})")
     verdict = "PASS" if report.sampling.violations == 0 else "FAIL"
     _say(f"theorem-shadow: {verdict} (π samples: {report.sampling.samples}, "

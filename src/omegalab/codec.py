@@ -211,28 +211,6 @@ def _unrank(m: int) -> int:
     return raw
 
 
-def _rank(raw: int) -> int:
-    """Functional raw codes strictly below `raw`: for each set slot s, from
-    the top, those that agree with raw above s and leave s clear, i.e. the
-    count below s over the factors of the groups used above s.  A
-    non-functional `raw` stops at its first repeated group."""
-    total = 0
-    used: list[int] = []
-    while raw:
-        s = raw.bit_length() - 1
-        raw ^= 1 << s
-        w, k = _diagonal(s)
-        used_factors = 1
-        for u in used:
-            if u <= w:  # groups past w have no slot below s
-                used_factors *= w + 1 - u + (u > w - k)
-        total += math.factorial(w + 1) * (k + 1) // used_factors
-        if w - k in used:  # slot s is the k-th of diagonal w: group w - k
-            break
-        used.append(w - k)
-    return total
-
-
 # --- sorted table of the initial segment -------------------------------------
 
 _SEGMENT_BITS = 30
@@ -267,7 +245,11 @@ def raw_code_of_index(m: int) -> int:
 def index_of_raw_code(raw: int) -> int:
     """Count of functional raw codes strictly below `raw`.
 
-    For a functional `raw` this is exactly its enumeration index.
+    For a functional `raw` this is exactly its enumeration index.  For each
+    set slot s, from the top, it counts the codes that agree with raw above
+    s and leave s clear, i.e. the count below s over the factors of the
+    groups used above s.  A non-functional `raw` stops at its first repeated
+    group.
     """
     if raw < 0:
         raise ValueError("raw codes are non-negative")
@@ -275,7 +257,21 @@ def index_of_raw_code(raw: int) -> int:
         raise ValueError(
             f"raw code has a slot beyond {SLOT_LIMIT}; its index is "
             "astronomically large and not representable here")
-    return _rank(raw)
+    total = 0
+    used: list[int] = []
+    while raw:
+        s = raw.bit_length() - 1
+        raw ^= 1 << s
+        w, k = _diagonal(s)
+        used_factors = 1
+        for u in used:
+            if u <= w:  # groups past w have no slot below s
+                used_factors *= w + 1 - u + (u > w - k)
+        total += math.factorial(w + 1) * (k + 1) // used_factors
+        if w - k in used:  # slot s is the k-th of diagonal w: group w - k
+            break
+        used.append(w - k)
+    return total
 
 
 def nth_partial_fn(m: int) -> PartialFn:
@@ -287,12 +283,9 @@ def nth_partial_fn(m: int) -> PartialFn:
 
 
 def partial_fn_index(fn: PartialFn) -> int:
-    """Inverse of nth_partial_fn."""
-    if fn.entries and fn.slots[-1] > SLOT_LIMIT:
-        raise ValueError(
-            f"entry slot {fn.slots[-1]} exceeds {SLOT_LIMIT}; the index exists "
-            "but is astronomically large")
-    return _rank(fn.raw_code)
+    """Inverse of nth_partial_fn.  Refuses, like `PartialFn.raw_code`, a
+    function with an entry slot past SLOT_LIMIT."""
+    return index_of_raw_code(fn.raw_code)
 
 
 # --- density and extension search --------------------------------------------

@@ -21,6 +21,7 @@ from .finset import Family, FinSet, IndependenceReport, is_independent
 from .generic import (ComboDensityReport, GenericRun, TargetGrid,
                       auto_schedule, build_generic, check_all_combos_dense,
                       is_condition, row_match_column)
+from .jsonio import grid_to_obj, spec_to_obj
 
 
 class PointPermutation(Protocol):
@@ -169,7 +170,6 @@ class BuildRecord:
     run: GenericRun
 
     def to_json_obj(self) -> dict[str, Any]:
-        from .jsonio import grid_to_obj
         return {
             "index": self.index,
             "grid": grid_to_obj(self.grid),
@@ -254,16 +254,13 @@ class PipelineReport:
         indep = {
             "ok": self.independence.ok,
             "size_found": self.independence.size_found,
-            "failing": None if self.independence.failing is None else {
-                "pos": list(self.independence.failing.pos),
-                "neg": list(self.independence.failing.neg),
-            },
+            "failing": None if self.independence.failing is None
+            else spec_to_obj(self.independence.failing),
         }
         dens = {
             "ok": self.density.ok,
             "failing": None if self.density.failing_spec is None else {
-                "pos": list(self.density.failing_spec.pos),
-                "neg": list(self.density.failing_spec.neg),
+                **spec_to_obj(self.density.failing_spec),
                 "probe": self.density.failing_probe,
             },
         }

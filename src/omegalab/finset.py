@@ -2,9 +2,10 @@
 
 Sets over the universe {0..n-1} are stored as integer bitmasks, which keeps
 intersections and complements cheap even for universes of a million points.
-A check that needs the whole universe as one mask takes it from full_mask,
-which refuses universes past MAX_UNIVERSE (2^26 points, 8 MiB) with a
-ValueError instead of asking for an integer the input does not need.
+A check that builds the whole universe, as one mask (full_mask) or as one
+column per point (is_saturated), first passes _check_universe, which refuses
+universes past MAX_UNIVERSE (2^26 points, 8 MiB as a mask) with a ValueError
+instead of asking for memory the input does not need.
 
 Combination checks share one scan, combination_masks: a pre-order
 depth-first walk over (pos, neg) in which each combination is one big-int
@@ -22,17 +23,22 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-# The largest universe a check builds as one mask: 2^26 points, an 8 MiB
-# integer.  Sets and families may be larger, as long as no check needs the
-# whole universe at once (a chain search over a sparse family does not).
+# The largest universe a check builds whole: 2^26 points, an 8 MiB mask.
+# Sets and families may be larger, as long as no check needs the whole
+# universe at once (a chain search over a sparse family does not).
 MAX_UNIVERSE = 1 << 26
+
+
+def _check_universe(n: int) -> None:
+    """Refuse a universe past MAX_UNIVERSE, before a check builds it whole."""
+    if n > MAX_UNIVERSE:
+        raise ValueError(f"universe of {n} points is past the cap of "
+                         f"{MAX_UNIVERSE} for checks that build it whole")
 
 
 def full_mask(n: int) -> int:
     """The mask of the whole universe {0..n-1}, refused past MAX_UNIVERSE."""
-    if n > MAX_UNIVERSE:
-        raise ValueError(f"universe of {n} points is past the cap of "
-                         f"{MAX_UNIVERSE} for checks that build it as one mask")
+    _check_universe(n)
     return (1 << n) - 1
 
 
@@ -278,6 +284,7 @@ def is_saturated(family: Family, bound: int) -> SaturationReport:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    _check_universe(family.n)
     # read each point as the set of family indices whose set holds it: a
     # demand (p, q) is met iff the combination (pos p, neg q) of these
     # columns is non-empty

@@ -159,9 +159,13 @@ def grid_from_obj(obj: Any) -> TargetGrid:
 
 # --- demand schedules ---------------------------------------------------------
 
+def spec_to_obj(spec: CombinationSpec) -> dict[str, Any]:
+    return {"pos": list(spec.pos), "neg": list(spec.neg)}
+
+
 def demand_to_obj(demand: Demand) -> dict[str, Any]:
-    return {"pos": list(demand.spec.pos), "neg": list(demand.spec.neg),
-            "probe": demand.probe_index, "polarity": demand.polarity}
+    return {**spec_to_obj(demand.spec), "probe": demand.probe_index,
+            "polarity": demand.polarity}
 
 
 def demand_from_obj(obj: Any) -> Demand:

@@ -392,6 +392,12 @@ class TestUniverseCap:
         self.assert_refused(run_cli_capped("check-indep", "--family",
                                            str(fam), "--t", "1"))
 
+    def test_check_saturation(self, workdir):
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": self.HUGE, "sets": [[0], [1]]})
+        self.assert_refused(run_cli_capped("check-saturation", "--family",
+                                           str(fam), "--s", "1"))
+
     def test_gen_family(self):
         self.assert_refused(run_cli_capped("gen-family", "--k", "2", "--n",
                                            str(self.HUGE)))

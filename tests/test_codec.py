@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
-                            _rank, _unrank, cantor_pair,
+                            _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
                             index_of_raw_code, is_functional_raw,
@@ -335,19 +335,19 @@ class TestCountingPath:
     def test_unrank_and_rank_match_table(self):
         assert len(TABLE_30) == count_functional_below(30) == 120960
         assert [_unrank(m) for m in range(len(TABLE_30))] == TABLE_30
-        assert all(_rank(raw) == m for m, raw in enumerate(TABLE_30))
+        assert all(index_of_raw_code(raw) == m for m, raw in enumerate(TABLE_30))
 
     def test_rank_counts_non_functional_codes(self):
         # a non-functional code's rank is still the count of functional codes below it
         for raw in range(1 << 16):
-            assert _rank(raw) == bisect_left(ORACLE_RAWS, raw)
+            assert index_of_raw_code(raw) == bisect_left(ORACLE_RAWS, raw)
 
     @given(st.integers(0, 10 ** 100))
     @settings(max_examples=300, deadline=None)
     def test_rank_inverts_unrank_up_to_googol(self, m):
         raw = _unrank(m)
         assert is_functional_raw(raw)
-        assert _rank(raw) == m
+        assert index_of_raw_code(raw) == m
         assert _unrank(m + 1) > raw
         assert nth_partial_fn(m).raw_code == raw_code_of_index(m)
 

@@ -149,7 +149,8 @@ class TestUniverseCap:
         for check in (lambda: is_independent(fam, 1, 2),
                       lambda: min_combination_size(fam, 1),
                       lambda: boolean_combination(fam, CombinationSpec((0,))),
-                      lambda: bit_family(2, self.HUGE)):
+                      lambda: bit_family(2, self.HUGE),
+                      lambda: is_saturated(fam, 1)):
             with pytest.raises(ValueError, match="past the cap"):
                 check()
 
