@@ -25,11 +25,12 @@ from .extender import find_independent_shuffle, orbit_closure
 from .finset import bit_family, count_combinations, is_independent, is_saturated
 from .generic import (auto_schedule, build_generic, check_all_combos_dense,
                       is_condition)
-from .jsonio import (canonical_dumps, extension_demand_from_obj,
-                     families_from_obj, family_from_obj, family_to_obj,
-                     finset_from_obj, grid_from_obj, partial_fn_from_obj,
+from .jsonio import (canonical_dumps, density_to_obj,
+                     extension_demand_from_obj, families_from_obj,
+                     family_from_obj, family_to_obj, finset_from_obj,
+                     grid_from_obj, independence_to_obj, partial_fn_from_obj,
                      partial_fn_to_obj, permutation_from_obj, read_json,
-                     schedule_from_obj, schedule_to_obj, spec_to_obj,
+                     run_to_obj, schedule_from_obj, schedule_to_obj,
                      write_json)
 
 EX_OK = 0
@@ -77,6 +78,10 @@ def _say_independence(rep) -> None:
              f"size {rep.size_found})")
 
 
+def _failing_probe(rep) -> str:
+    return f"FAIL ({_spec_str(rep.failing_spec)}, probe {rep.failing_probe})"
+
+
 def _degraded(run) -> str:
     return (f"DEGRADED ({run.failure_kind} at demand {run.failed_at}, "
             f"|A| = {len(run.condition.elements)})")
@@ -95,12 +100,8 @@ def _cmd_check_indep(args) -> int:
     family = family_from_obj(read_json(args.family))
     depth = len(family.sets) if args.d is None else args.d
     rep = is_independent(family, args.t, depth)
-    obj = {
-        "ok": rep.ok, "t": rep.threshold, "d": rep.depth,
-        "size_found": rep.size_found,
-        "failing": None if rep.failing is None else spec_to_obj(rep.failing),
-    }
-    _emit(obj, args.out)
+    _emit({**independence_to_obj(rep), "t": rep.threshold, "d": rep.depth},
+          args.out)
     _say_independence(rep)
     return EX_OK if rep.ok else EX_VIOLATION
 
@@ -146,10 +147,8 @@ def _cmd_extend_perm(args) -> int:
         else list(rep.permutation.images),
         "closure": None if rep.closure is None else family_to_obj(rep.closure),
         "independence": None if rep.independence is None else {
-            "ok": rep.independence.ok,
-            "size_found": rep.independence.size_found,
-            "t": rep.independence.threshold, "d": rep.independence.depth,
-        },
+            **independence_to_obj(rep.independence),
+            "t": rep.independence.threshold, "d": rep.independence.depth},
         "best_attempt": rep.best_attempt,
         "best_min_size": rep.best_min_size,
     }
@@ -192,14 +191,9 @@ def _cmd_build_generic(args) -> int:
         "universe": run.universe,
         "search_bound": run.search_bound,
         "schedule": schedule_to_obj(schedule)["demands"],
-        "witnesses": [s.witness for s in run.steps],
         "A": list(run.condition.elements),
         "decided_below": run.decided_below,
-        "steps_completed": len(run.steps),
-        "schedule_length": run.schedule_length,
-        "degraded": run.degraded,
-        "failure_kind": run.failure_kind,
-        "failed_at": run.failed_at,
+        **run_to_obj(run),
     }
     _emit(obj, args.out)
     if run.degraded:
@@ -216,19 +210,13 @@ def _cmd_verify_star(args) -> int:
     depth = total if args.depth is None else args.depth
     rep = check_all_combos_dense(families, args.probe_bound,
                                  args.search_bound, depth)
-    obj = {
-        "ok": rep.ok, "probe_bound": rep.probe_bound,
-        "search_bound": rep.search_bound, "depth": depth,
-        "failing": None if rep.failing_spec is None else {
-            **spec_to_obj(rep.failing_spec), "probe": rep.failing_probe},
-    }
-    _emit(obj, args.out)
+    _emit({**density_to_obj(rep), "probe_bound": rep.probe_bound,
+           "search_bound": rep.search_bound, "depth": depth}, args.out)
     specs = count_combinations(total, depth)
     if rep.ok:
         _say(f"star-density: PASS (specs: {specs}, probes: {rep.probe_bound})")
         return EX_OK
-    _say(f"star-density: FAIL ({_spec_str(rep.failing_spec)}, "
-         f"probe {rep.failing_probe})")
+    _say(f"star-density: {_failing_probe(rep)}")
     return EX_VIOLATION
 
 
@@ -262,8 +250,7 @@ def _cmd_diag_experiment(args) -> int:
     if dens.ok:
         _say(f"density: PASS (probes: {dens.probe_bound})")
     else:
-        _say(f"density: FAIL ({_spec_str(dens.failing_spec)}, "
-             f"probe {dens.failing_probe})")
+        _say(f"density: {_failing_probe(dens)}")
     verdict = "PASS" if report.sampling.violations == 0 else "FAIL"
     _say(f"theorem-shadow: {verdict} (π samples: {report.sampling.samples}, "
          f"violations: {report.sampling.violations})")

@@ -21,7 +21,8 @@ from .finset import Family, FinSet, IndependenceReport, is_independent
 from .generic import (ComboDensityReport, GenericRun, TargetGrid,
                       auto_schedule, build_generic, check_all_combos_dense,
                       is_condition, row_match_column)
-from .jsonio import grid_to_obj, spec_to_obj
+from .jsonio import (density_to_obj, grid_to_obj, independence_to_obj,
+                     run_to_obj)
 
 
 class PointPermutation(Protocol):
@@ -139,28 +140,25 @@ class LazyPermutation:
         self._bwd: dict[int, int] = {}
 
     def apply(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise ValueError(f"{x} outside the universe [0, {self.n})")
-        if x in self._fwd:
-            return self._fwd[x]
-        while True:
-            y = self._rng.randrange(self.n)
-            if y not in self._bwd:
-                self._fwd[x] = y
-                self._bwd[y] = x
-                return y
+        return self._sample(x, self._fwd, self._bwd)
 
     def inverse_apply(self, y: int) -> int:
-        if not 0 <= y < self.n:
-            raise ValueError(f"{y} outside the universe [0, {self.n})")
-        if y in self._bwd:
-            return self._bwd[y]
+        return self._sample(y, self._bwd, self._fwd)
+
+    def _sample(self, x: int, there: dict[int, int],
+                back: dict[int, int]) -> int:
+        """x's partner in one direction: recorded, or drawn uniformly from
+        the points with no partner yet in the other direction."""
+        if not 0 <= x < self.n:
+            raise ValueError(f"{x} outside the universe [0, {self.n})")
+        if x in there:
+            return there[x]
         while True:
-            x = self._rng.randrange(self.n)
-            if x not in self._fwd:
-                self._fwd[x] = y
-                self._bwd[y] = x
-                return x
+            y = self._rng.randrange(self.n)
+            if y not in back:
+                there[x] = y
+                back[y] = x
+                return y
 
 
 @dataclass(frozen=True)
@@ -170,17 +168,9 @@ class BuildRecord:
     run: GenericRun
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "grid": grid_to_obj(self.grid),
-            "elements": list(self.run.condition.elements),
-            "witnesses": [s.witness for s in self.run.steps],
-            "schedule_length": self.run.schedule_length,
-            "steps_completed": len(self.run.steps),
-            "degraded": self.run.degraded,
-            "failure_kind": self.run.failure_kind,
-            "failed_at": self.run.failed_at,
-        }
+        return {"index": self.index, "grid": grid_to_obj(self.grid),
+                "elements": list(self.run.condition.elements),
+                **run_to_obj(self.run)}
 
 
 @dataclass(frozen=True)
@@ -251,25 +241,12 @@ class PipelineReport:
                 and self.sampling.violations == 0)
 
     def to_json_obj(self) -> dict[str, Any]:
-        indep = {
-            "ok": self.independence.ok,
-            "size_found": self.independence.size_found,
-            "failing": None if self.independence.failing is None
-            else spec_to_obj(self.independence.failing),
-        }
-        dens = {
-            "ok": self.density.ok,
-            "failing": None if self.density.failing_spec is None else {
-                **spec_to_obj(self.density.failing_spec),
-                "probe": self.density.failing_probe,
-            },
-        }
         return {
             "config": self.config.to_json_obj(),
             "builds": [b.to_json_obj() for b in self.builds],
             "degraded": self.degraded,
-            "independence": indep,
-            "density": dens,
+            "independence": independence_to_obj(self.independence),
+            "density": density_to_obj(self.density),
             "per_sample": [s.to_json_obj() for s in self.samples],
             "sampling": self.sampling.to_json_obj(),
             "ok": self.ok,
@@ -284,8 +261,6 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
     Deterministic: the report is a pure function of the configuration.
     """
     n = config.universe
-    if config.search_bound > n:
-        raise ValueError("search bound cannot exceed the universe size")
     builds: list[BuildRecord] = []
     built_sets: list[FinSet] = []
     for alpha in range(config.builds):

@@ -37,8 +37,27 @@ def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int
     return ordered
 
 
+class _PairMap:
+    """Finitely many (source, target) pairs, sorted by source."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def _forward(self) -> dict[int, int]:
+        return dict(self.pairs)
+
+    def domain(self) -> tuple[int, ...]:
+        return tuple(a for a, _ in self.pairs)
+
+    def apply(self, x: int) -> int:
+        return self._forward[x]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
 @dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(_PairMap):
     """Finitely many point pairs (x, y), injective, inside [0, n)."""
 
     n: int
@@ -61,28 +80,15 @@ class PartialInjection:
     def empty(cls, n: int) -> "PartialInjection":
         return cls(n, ())
 
-    @cached_property
-    def _forward(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
     def targets(self) -> tuple[int, ...]:
         return tuple(sorted(b for _, b in self.pairs))
-
-    def apply(self, x: int) -> int:
-        return self._forward[x]
 
     def defined_at(self, x: int) -> bool:
         return x in self._forward
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
-class FamilyMap:
+class FamilyMap(_PairMap):
     """An injective partial map on family indices."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -96,19 +102,6 @@ class FamilyMap:
     @classmethod
     def from_dict(cls, mapping: dict[int, int]) -> "FamilyMap":
         return cls(tuple(mapping.items()))
-
-    @cached_property
-    def _forward(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    def apply(self, j: int) -> int:
-        return self._forward[j]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -126,14 +119,15 @@ class AtomDecomposition:
     action: tuple[int, ...]
 
 
-def _cell(full: int, set_masks: Sequence[int], sig: int) -> int:
-    """Points lying in the j-th set exactly when bit j of sig is set."""
-    cell = full
-    for j, sm in enumerate(set_masks):
-        cell &= sm if (sig >> j) & 1 else full & ~sm
-        if not cell:
-            break
-    return cell
+def _cells(full: int, set_masks: Sequence[int]) -> list[int]:
+    """cells[sig]: the points lying in the j-th set exactly when bit j of
+    sig is set, cut one set at a time (the outside half first keeps the
+    list in signature order)."""
+    cells = [full]
+    for sm in set_masks:
+        outside = ~sm
+        cells = [c & outside for c in cells] + [c & sm for c in cells]
+    return cells
 
 
 def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
@@ -146,18 +140,17 @@ def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
         if not (0 <= j < count and 0 <= g.apply(j) < count):
             raise ValueError(f"family map touches index outside [0, {count})")
     full = full_mask(family.n)
-    source_masks = [family.sets[j].mask for j in dom]
-    image_masks = [family.sets[g.apply(j)].mask for j in dom]
+    cells = _cells(full, [family.sets[j].mask for j in dom])
+    images = _cells(full, [family.sets[g.apply(j)].mask for j in dom])
     pos_by_mask: dict[int, int] = {}  # nonempty cells, ascending signature
     sigs = []
-    for sig in range(1 << len(dom)):
-        cell = _cell(full, source_masks, sig)
+    for sig, cell in enumerate(cells):
         if cell:
             pos_by_mask[cell] = len(sigs)
             sigs.append(sig)
     action = []
     for sig in sigs:
-        k2 = pos_by_mask.get(_cell(full, image_masks, sig))
+        k2 = pos_by_mask.get(images[sig])
         if k2 is None:
             raise InducedMapNotPermutation(
                 f"image of the cell with signature {sig} is not a cell of "

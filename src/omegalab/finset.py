@@ -75,14 +75,11 @@ class FinSet:
             mask |= 1 << x
         return cls(n, mask)
 
-    def members(self) -> Iterator[int]:
-        return _iter_bits(self.mask)
-
     def __iter__(self) -> Iterator[int]:
         return _iter_bits(self.mask)
 
     def to_list(self) -> list[int]:
-        return list(self.members())
+        return list(self)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

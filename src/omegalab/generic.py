@@ -67,7 +67,7 @@ def row_match_column(fn: PartialFn, m: int, i: int, grid: TargetGrid) -> Optiona
     the first match, as entries run in point-code order, which for one (m, i)
     is column order."""
     for a, b, ii, v in fn.entries:
-        if a == m and ii == i and b < grid.cols and v == grid.values[(m * grid.cols + b) * 2 + i]:
+        if a == m and ii == i and b < grid.cols and v == grid.value_at(m, b, i):
             return b
     return None
 
@@ -203,7 +203,7 @@ def _demand_search_sets(spec: CombinationSpec, merged: Family
     for idx in spec.neg:
         if not 0 <= idx < len(merged.sets):
             raise ValueError(f"index {idx} out of range for merged family")
-        excluded.update(merged.sets[idx].members())
+        excluded.update(merged.sets[idx])
     return None, excluded
 
 
@@ -268,7 +268,6 @@ class GenericRun:
 
     universe: int
     search_bound: int
-    grid: TargetGrid
     condition: Condition
     steps: tuple[StepRecord, ...]
     schedule_length: int
@@ -316,19 +315,16 @@ def build_generic(families: Sequence[Family], grid: TargetGrid,
             break
         cond = res.condition
         steps.append(StepRecord(demand, res.witness, res.added, cond.elements))
-    return GenericRun(merged.n, search_bound, grid, cond, tuple(steps),
+    return GenericRun(merged.n, search_bound, cond, tuple(steps),
                       len(schedule), degraded, kind, detail, failed_at)
 
 
-def auto_schedule(prior_set_count: int, probes: int,
-                  depth: Optional[int] = None) -> tuple[Demand, ...]:
+def auto_schedule(prior_set_count: int, probes: int) -> tuple[Demand, ...]:
     """The round-robin schedule: for each probe index, every combination spec
     over the prior sets (lexicographic order), polarity in then out."""
     if probes < 0:
         raise ValueError("probe count must be >= 0")
-    if depth is None:
-        depth = prior_set_count
-    specs = list(combination_specs(prior_set_count, depth))
+    specs = list(combination_specs(prior_set_count, prior_set_count))
     out: list[Demand] = []
     for probe in range(probes):
         for spec in specs:

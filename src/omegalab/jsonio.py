@@ -1,4 +1,5 @@
-"""Canonical JSON for every file the tools read or write.
+"""Canonical JSON for every file the tools read or write, and the one view
+of each report type that the CLI and the pipeline report share.
 
 Canonical means: keys sorted, compact separators, one trailing newline.
 Two equal reports therefore serialize to identical bytes, which the test
@@ -12,8 +13,9 @@ from typing import Any, Sequence
 
 from .codec import PartialFn
 from .extender import FamilyMap, PartialInjection, Permutation
-from .finset import CombinationSpec, Family, FinSet
-from .generic import IN, OUT, Demand, TargetGrid
+from .finset import CombinationSpec, Family, FinSet, IndependenceReport
+from .generic import (IN, OUT, ComboDensityReport, Demand, GenericRun,
+                      TargetGrid)
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -189,6 +191,32 @@ def schedule_from_obj(obj: Any) -> tuple[Demand, ...]:
     if not isinstance(obj["demands"], list):
         raise ValueError("schedule key demands must be a list")
     return tuple(demand_from_obj(d) for d in obj["demands"])
+
+
+# --- report views -------------------------------------------------------------
+# The fields each report type shares between the CLI and the pipeline
+# report; callers add their own keys around them.
+
+def independence_to_obj(rep: IndependenceReport) -> dict[str, Any]:
+    return {"ok": rep.ok, "size_found": rep.size_found,
+            "failing": None if rep.failing is None
+            else spec_to_obj(rep.failing)}
+
+
+def density_to_obj(rep: ComboDensityReport) -> dict[str, Any]:
+    return {"ok": rep.ok, "failing": None if rep.failing_spec is None else {
+        **spec_to_obj(rep.failing_spec), "probe": rep.failing_probe}}
+
+
+def run_to_obj(run: GenericRun) -> dict[str, Any]:
+    return {
+        "witnesses": [s.witness for s in run.steps],
+        "schedule_length": run.schedule_length,
+        "steps_completed": len(run.steps),
+        "degraded": run.degraded,
+        "failure_kind": run.failure_kind,
+        "failed_at": run.failed_at,
+    }
 
 
 # --- maps ---------------------------------------------------------------------

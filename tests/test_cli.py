@@ -430,3 +430,85 @@ class TestUsageAndEnvironment:
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: deep inside\n"
         assert captured.out == ""
+
+
+def _zero_grid_families(rows, cols):
+    return {"fams.json": {"families": [{"N": 4096, "sets": []}]},
+            "eta.json": zero_grid_obj(rows, cols)}
+
+
+BIT16 = {"fam.json": {"N": 16, "sets": [[x for x in range(16) if x >> j & 1]
+                                        for j in range(3)]}}
+SWAP8 = {"fam.json": {"N": 8, "sets": [[1, 3, 5, 7], [2, 3, 6, 7]]},
+         "demand.json": {"f": [], "g": [[0, 1], [1, 0]]}}
+BUILD = ["build-generic", "--families", "fams.json", "--eta", "eta.json",
+         "--search-bound", "4096", "--demands"]
+SCHEDULE = ('{"neg":[],"polarity":"in","pos":[],"probe":0},'
+            '{"neg":[],"polarity":"out","pos":[],"probe":0}')
+
+# (input files, argv, exit status, stdout, stderr), exact bytes; the
+# independence object of extend-perm is the one check-indep prints
+PINNED = {
+    "check-indep pass": (
+        BIT16, ["check-indep", "--family", "fam.json", "--t", "2"], 0,
+        '{"d":3,"failing":null,"ok":true,"size_found":2,"t":2}\n',
+        "independence: PASS (t=2, d=3, min size 2)\n"),
+    "check-indep fail": (
+        BIT16, ["check-indep", "--family", "fam.json", "--t", "3"], 1,
+        '{"d":3,"failing":{"neg":[0,1,2],"pos":[]},"ok":false,'
+        '"size_found":2,"t":3}\n',
+        "independence: FAIL (pos=[] neg=[0, 1, 2], size 2)\n"),
+    "verify-star pass": (
+        {"fams.json": {"families": [{"N": 512,
+                                     "sets": [list(range(0, 512, 2))]}]}},
+        ["verify-star", "--families", "fams.json", "--probe-bound", "2",
+         "--search-bound", "512"], 0,
+        '{"depth":1,"failing":null,"ok":true,"probe_bound":2,'
+        '"search_bound":512}\n',
+        "star-density: PASS (specs: 3, probes: 2)\n"),
+    "verify-star fail": (
+        {"fams.json": {"families": [{"N": 64, "sets": [[0]]}]}},
+        ["verify-star", "--families", "fams.json", "--probe-bound", "2",
+         "--search-bound", "64"], 1,
+        '{"depth":1,"failing":{"neg":[],"pos":[0],"probe":1},"ok":false,'
+        '"probe_bound":2,"search_bound":64}\n',
+        "star-density: FAIL (pos=[0] neg=[], probe 1)\n"),
+    "build-generic ok": (
+        _zero_grid_families(4, 4), BUILD + ["auto:q=1"], 0,
+        '{"A":[0,3],"decided_below":4,"degraded":false,"failed_at":null,'
+        '"failure_kind":null,"schedule":[' + SCHEDULE + '],'
+        '"schedule_length":2,"search_bound":4096,"steps_completed":2,'
+        '"universe":4096,"witnesses":[0,1]}\n',
+        "build-generic: OK (|A| = 2, met 2/2 demands)\n"),
+    "build-generic degraded": (
+        _zero_grid_families(1, 1), BUILD + ["auto:q=2"], 2,
+        '{"A":[0,3],"decided_below":4,"degraded":true,"failed_at":2,'
+        '"failure_kind":"grid-overflow","schedule":[' + SCHEDULE + ','
+        + SCHEDULE.replace('"probe":0', '"probe":1') + '],'
+        '"schedule_length":4,"search_bound":4096,"steps_completed":2,'
+        '"universe":4096,"witnesses":[0,1]}\n',
+        "build-generic: DEGRADED (grid-overflow at demand 2, |A| = 2)\n"),
+    "extend-perm pass": (
+        SWAP8, ["extend-perm", "--family", "fam.json", "--demand",
+                "demand.json", "--t", "2", "--d", "2", "--L", "1",
+                "--budget", "20", "--seed", "5"], 0,
+        '{"attempts":1,"best_attempt":1,"best_min_size":2,"budget":20,'
+        '"closure":{"N":8,"labels":["set0","set1"],'
+        '"sets":[[1,3,5,7],[2,3,6,7]]},"independence":{"d":2,'
+        '"failing":null,"ok":true,"size_found":2,"t":2},"ok":true,'
+        '"permutation":[0,2,5,3,4,6,1,7]}\n',
+        "extend-perm: PASS (attempts: 1, closure sets: 2)\n"),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_exact_bytes(self, case, workdir, capsys):
+        files, argv, status, out, err = PINNED[case]
+        for name, obj in files.items():
+            write_json(str(workdir / name), obj)
+        argv = [str(workdir / a) if a in files else a for a in argv]
+        assert cli.main(argv) == status
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == err

@@ -247,11 +247,6 @@ class TestAutoSchedule:
                          for pol in (IN, OUT))
         assert sched == expected
 
-    def test_depth_cap(self):
-        shallow = auto_schedule(3, 1, depth=1)
-        assert all(d.spec.depth <= 1 for d in shallow)
-        assert len(shallow) == 2 * 7  # empty spec + 3 single-pos + 3 single-neg
-
     def test_zero_probes(self):
         assert auto_schedule(2, 0) == ()
 
