@@ -6,15 +6,21 @@ from the one indexed by the preimage of m.  Whenever a set A matches a target
 grid pairwise, every pi-related pair inside A is caught by that induced
 function somewhere in the earlier row — verify_catch checks this exactly, and
 run_pipeline samples it at scale.
+
+grid_fn_from_perm decodes only the indices that can reach their row (a counted
+cutoff; at desk scale rows 0-2, the reachability wall), and run_pipeline
+trusts each build's Condition, validated against its grid when it was made,
+instead of re-running is_condition per sample.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Protocol
+from typing import Any, Iterable, Optional, Protocol, Sequence
 
-from .codec import PartialFn, nth_partial_fn
+from .codec import (PartialFn, count_functional_below, entry_slot,
+                    nth_partial_fn)
 from .config import GRID_TAG, PERM_TAG, ExperimentConfig, child_seed
 from .errors import GridOverflow, PreconditionUnmet
 from .finset import Family, FinSet, IndependenceReport, is_independent
@@ -40,15 +46,30 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn
 
     Query order is pinned — images for m = 0..rows-1, then preimages
     likewise — so lazily sampled permutations give reproducible results.
+
+    Only indices that can reach their row are decoded.  Index j has all its
+    slots below bit s exactly when j < count_functional_below(s), and every
+    slot of row m on a layer is at least entry_slot(m, 0, layer, 0), so an
+    index below that count leaves the row empty.  These cutoffs rise with m
+    (1, 6, 5 040, about 6.2e9 on layer 0), and past the first one at or
+    above perm.n no row can be read at all.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
     entries = []
     for layer, index_of in ((0, perm.apply), (1, perm.inverse_apply)):
+        cutoffs = []
         for m in range(rows):
-            fn = nth_partial_fn(index_of(m))
-            entries.extend((m, b, layer, v) for a, b, i, v in fn.entries
-                           if a == m and i == layer and b < cols)
+            cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
+            if cutoff >= perm.n:
+                break
+            cutoffs.append(cutoff)
+        for m in range(rows):
+            j = index_of(m)  # queried for every row, to keep the draws
+            if m < len(cutoffs) and j >= cutoffs[m]:
+                entries.extend((m, b, layer, v)
+                               for a, b, i, v in nth_partial_fn(j).entries
+                               if a == m and i == layer and b < cols)
     return PartialFn.from_entries(entries)
 
 
@@ -111,6 +132,13 @@ def verify_catch(members: Iterable[int], target: TargetGrid,
     if not rep.ok:
         raise PreconditionUnmet(
             f"pair {rep.witness} of the set has no match on the target")
+    return _catch(elems, target, perm)
+
+
+def _catch(elems: Sequence[int], target: TargetGrid,
+           perm: PointPermutation) -> CatchReport:
+    """verify_catch past its precondition: `elems` ascending and matching
+    the target pairwise, so every case's row lies inside the grid."""
     up, down = case_split(perm, elems)
     failures = []
     for m in up:
@@ -290,7 +318,10 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         up_checked = down_checked = violations = 0
         for record in builds:
             match_counts.append(matches(fn, record.grid, config.threshold).count)
-            catch = verify_catch(record.run.condition.elements, record.grid, perm)
+            # a Condition validated its chain against this very grid when it
+            # was built, so the precondition is not checked again per sample
+            cond = record.run.condition
+            catch = _catch(cond.elements, cond.grid, perm)
             up_checked += len(catch.up_cases)
             down_checked += len(catch.down_cases)
             violations += len(catch.failures)

@@ -24,6 +24,16 @@ from .finset import (CombinationSpec, Family, FinSet, boolean_combination,
 IN = "in"
 OUT = "out"
 
+# A target grid holds rows * cols * 2 values; past this many (a 32 MiB
+# tuple) TargetGrid.random and .constant refuse before allocating.
+MAX_GRID_CELLS = 1 << 22
+
+
+def _check_grid_size(rows: int, cols: int) -> None:
+    if rows * cols * 2 > MAX_GRID_CELLS:
+        raise ValueError(f"grid of {rows}x{cols}x2 values is past the cap "
+                         f"of {MAX_GRID_CELLS}")
+
 
 @dataclass(frozen=True)
 class TargetGrid:
@@ -51,11 +61,13 @@ class TargetGrid:
     @classmethod
     def constant(cls, rows: int, cols: int, value_bound: int = 1,
                  fill: int = 0) -> "TargetGrid":
+        _check_grid_size(rows, cols)
         return cls(rows, cols, value_bound, (fill,) * (rows * cols * 2))
 
     @classmethod
     def random(cls, rows: int, cols: int, value_bound: int,
                rng: random.Random) -> "TargetGrid":
+        _check_grid_size(rows, cols)
         # row-major (m, k, i) draw order; pinned for reproducibility
         vals = tuple(rng.randrange(value_bound)
                      for _ in range(rows * cols * 2))

@@ -412,6 +412,14 @@ class TestUniverseCap:
         self.assert_refused(run_cli_capped("diag-experiment", "--config",
                                            str(cfg)))
 
+    def test_diag_experiment_grid(self, workdir):
+        # 2 * 10^10 grid values: refused before any is drawn, not after the
+        # draw has filled the address space
+        cfg = workdir / "config.json"
+        write_json(str(cfg), dict(SMOKE_CONFIG, Ma=100_000, Mk=100_000))
+        self.assert_refused(run_cli_capped("diag-experiment", "--config",
+                                           str(cfg)))
+
 
 class TestUsageAndEnvironment:
     def test_unknown_subcommand(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab.codec import EMPTY_FN, PartialFn, nth_partial_fn
+from omegalab import diag, generic
+from omegalab.codec import (EMPTY_FN, PartialFn, count_functional_below,
+                            entry_slot, nth_partial_fn)
 from omegalab.config import ExperimentConfig, child_seed
 from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
@@ -45,17 +48,20 @@ class TestGridFnFromPerm:
         with pytest.raises(ValueError):
             grid_fn_from_perm(swap03(), 0, 4)
 
-    @given(st.integers(0, 2 ** 31), st.booleans(), st.integers(1, 6),
+    @given(st.integers(0, 2 ** 31), st.booleans(), st.integers(1, 16),
            st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
            st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_entries_equal_brute_force_read(self, seed, lazy, rows, cols,
                                             t_rows, t_cols, value_bound):
         # every in-grid point of layer 0 (layer 1) of row m is read from the
-        # function indexed by perm(m) (the preimage of m), and nothing else
+        # function indexed by perm(m) (the preimage of m), and nothing else;
+        # at n = 2^20 the indices read on row 2 lie past its cutoffs (5 040
+        # and 40 320), at n <= 4096 below them
         rng = random.Random(seed)
-        n = rng.choice((8, 64, 4096))
-        if lazy:
+        n = rng.choice((8, 64, 4096, 1 << 20))
+        rows = min(rows, n)
+        if lazy or n > 4096:
             perm = LazyPermutation(n, seed)
         else:
             images = list(range(n))
@@ -63,20 +69,79 @@ class TestGridFnFromPerm:
             perm = Permutation(n, tuple(images))
         fn = grid_fn_from_perm(perm, rows, cols)
         assert isinstance(fn, PartialFn)
-        expected = {}
-        for m in range(rows):  # a lazy permutation is sampled by now
-            for i, source in ((0, perm.apply(m)), (1, perm.inverse_apply(m))):
-                read = nth_partial_fn(source)
-                for k in range(cols):
-                    v = read.value_at(m, k, i)
-                    if v is not None:
-                        expected[(m, k, i)] = v
-        assert {(m, k, i): v for m, k, i, v in fn.entries} == expected
+        # a lazy permutation is sampled by now
+        assert grid_points(fn) == brute_force_read(perm, rows, cols)
         target = TargetGrid.random(t_rows, t_cols, value_bound, rng)
         count = sum(1 for m in range(t_rows) for k in range(t_cols)
                     for i in (0, 1) if fn.value_at(m, k, i) is not None
                     and fn.value_at(m, k, i) == target.value_at(m, k, i))
         assert matches(fn, target, 0).count == count
+
+    @pytest.mark.parametrize("m, layer", [(m, i) for m in range(3)
+                                          for i in (0, 1)])
+    def test_cutoff_is_exact_at_its_boundary(self, m, layer):
+        # the first index whose code reaches the row's least slot holds
+        # exactly that slot's entry; the index before it misses the row
+        t = count_functional_below(entry_slot(m, 0, layer, 0))
+        assert not any(a == m and i == layer
+                       for a, _, i, _ in nth_partial_fn(t - 1).entries)
+        assert (m, 0, layer, 0) in nth_partial_fn(t).entries
+        for j in (t - 1, t):
+            perm = Transposition(1 << 20, m, j)
+            fn = grid_fn_from_perm(perm, 16, 16)
+            assert grid_points(fn) == brute_force_read(perm, 16, 16)
+            assert (fn.value_at(m, 0, layer) == 0) == (j == t)
+
+    def test_decodes_only_rows_below_the_wall(self, monkeypatch):
+        # rows 3.. need an index past about 6.2e9, so at n = 2^20 only rows
+        # 0..2 of each layer are decoded; every row is still queried, so the
+        # permutation's later draws are those of the full pinned order
+        decoded = []
+
+        def counted(j):
+            decoded.append(j)
+            return nth_partial_fn(j)
+        monkeypatch.setattr(diag, "nth_partial_fn", counted)
+        for seed in range(5):
+            decoded.clear()
+            perm = LazyPermutation(1 << 20, seed)
+            grid_fn_from_perm(perm, 16, 16)
+            assert len(decoded) <= 6
+            queried = LazyPermutation(1 << 20, seed)
+            for m in range(16):
+                queried.apply(m)
+            for m in range(16):
+                queried.inverse_apply(m)
+            assert [perm.apply(x) for x in range(40)] == \
+                [queried.apply(x) for x in range(40)]
+
+
+class Transposition:
+    """The permutation of [0, n) swapping x and y, without a table."""
+
+    def __init__(self, n, x, y):
+        self.n, self.x, self.y = n, x, y
+
+    def apply(self, v):
+        return self.y if v == self.x else self.x if v == self.y else v
+
+    inverse_apply = apply
+
+
+def grid_points(fn):
+    return {(m, k, i): v for m, k, i, v in fn.entries}
+
+
+def brute_force_read(perm, rows, cols):
+    expected = {}
+    for m in range(rows):
+        for i, source in ((0, perm.apply(m)), (1, perm.inverse_apply(m))):
+            read = nth_partial_fn(source)
+            for k in range(cols):
+                v = read.value_at(m, k, i)
+                if v is not None:
+                    expected[(m, k, i)] = v
+    return expected
 
 
 class TestCaseSplit:
@@ -238,6 +303,24 @@ class TestRunPipeline:
         text = canonical_dumps(run_pipeline(SMOKE).to_json_obj())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f02c72894c1765dafe01983a72e17dbce1ffa278b0e595434d7c88fb3dfecad9")
+
+    def test_chain_is_checked_once_per_build_not_per_sample(self, monkeypatch):
+        # each build's Condition validated its chain when it was made; the
+        # samples trust it instead of running is_condition again
+        checks = []
+        real = generic.is_condition
+
+        def counted(*args):
+            checks.append(args)
+            return real(*args)
+        monkeypatch.setattr(generic, "is_condition", counted)
+        monkeypatch.setattr(diag, "is_condition", counted)
+        counts = []
+        for samples in (1, 50):
+            checks.clear()
+            run_pipeline(dataclasses.replace(SMOKE, samples=samples))
+            counts.append(len(checks))
+        assert counts[0] == counts[1] > 0
 
     def test_report_keys(self):
         obj = run_pipeline(SMOKE).to_json_obj()

@@ -57,6 +57,16 @@ class TestTargetGrid:
         c = TargetGrid.random(3, 3, 4, random.Random(12))
         assert a == b and a != c
 
+    def test_size_cap_refuses_before_drawing(self):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match="past the cap"):
+            TargetGrid.random(100_000, 100_000, 4, rng)
+        assert rng.random() == random.Random(0).random()  # nothing drawn
+        cap_rows = generic.MAX_GRID_CELLS // 2
+        with pytest.raises(ValueError, match="past the cap"):
+            TargetGrid.constant(cap_rows + 1, 1)
+        assert len(TargetGrid.constant(1000, 1000).values) == 2 * 10 ** 6
+
     def test_row_match_column(self):
         fn = nth_partial_fn(3)  # (0,0,0)->0 and (0,0,1)->0
         assert row_match_column(fn, 0, 0, ZERO_GRID) == 0
