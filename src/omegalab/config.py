@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .generic import check_grid_size
+
 # stream tags for child_seed
 GRID_TAG = 1
 PERM_TAG = 2
@@ -64,15 +66,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         positive = ("builds", "universe", "rows", "cols", "value_bound",
-                    "search_bound")
+                    "threshold", "search_bound")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        nonneg = ("threshold", "depth", "probes", "probe_bound", "samples",
-                  "seed")
+        nonneg = ("depth", "probes", "probe_bound", "samples", "seed")
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        check_grid_size(self.rows, self.cols)
+        # each sample reads the permutation at the points below rows
+        if self.samples and self.rows > self.universe:
+            raise ValueError(f"rows ({self.rows}) must not exceed the "
+                             f"universe ({self.universe}) when samples are "
+                             f"drawn")
 
     def to_json_obj(self) -> dict[str, Any]:
         return {key: getattr(self, field) for field, key in _JSON_KEYS.items()}

@@ -9,7 +9,7 @@ Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
 A set's image is read off its base-2 digits through the preimage table in
 C-level string passes, with no Python loop over members, and each attempt
-of the search scans the closure's combinations once.
+of the search takes the closure's least combination size once.
 """
 
 from __future__ import annotations
@@ -197,8 +197,10 @@ class AtomShuffle:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # len(p) distinct entries inside [0, len(p)) permute it: O(len(p))
         for p in self.perms:
-            if sorted(p) != list(range(len(p))):
+            if (len(set(p)) != len(p) or min(p, default=0) < 0
+                    or max(p, default=-1) >= len(p)):
                 raise ValueError("each cell shuffle must permute 0..size-1")
 
     @classmethod
@@ -378,8 +380,8 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
     """Draw random shuffles until the completed permutation's orbit closure
     stays independent, or the budget runs out.  The pair is checked and its
     free cells derived once; an attempt draws and applies a shuffle, closes
-    the family, and scans the closure's combinations once: the least size is
-    both the verdict and the score of a failed attempt.
+    the family, and takes the closure's least combination size once: that
+    size is both the verdict and the score of a failed attempt.
 
     The checked depth is clamped to the closure's set count.  On failure the
     report carries the best attempt seen, judged by the smallest combination
@@ -399,7 +401,7 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
         perm = _complete(f, sources, targets, shuffle)
         closure = orbit_closure(family, perm, layers)
         d = min(depth, len(closure.sets))
-        size = min_combination_size(closure, d)  # one scan: verdict and best
+        size = min_combination_size(closure, d)  # verdict and score at once
         if size >= threshold:
             rep = IndependenceReport(True, None, size, threshold, d)
             return ShuffleSearchReport(True, attempt, budget, shuffle, perm,

@@ -7,19 +7,30 @@ column per point (is_saturated), first passes _check_universe, which refuses
 universes past MAX_UNIVERSE (2^26 points, 8 MiB as a mask) with a ValueError
 instead of asking for memory the input does not need.
 
-Combination checks share one scan, combination_masks: a pre-order
+Combination sets come from one scan, combination_masks: a pre-order
 depth-first walk over (pos, neg) in which each combination is one big-int
-AND of its parent's mask with a set or a precomputed complement, and each
-check one bit_count.  A family of k sets has sum_{j<=d} C(k,j)*2^j
-combinations of depth <= d (count_combinations).  combination_specs and
-is_saturated run the same walk: is_saturated over the points, each read as
-the k-bit set of the family members holding it.
+AND of its parent's mask with a set or a precomputed complement.  A family
+of k sets has sum_{j<=d} C(k,j)*2^j combinations of depth <= d
+(count_combinations).  combination_specs and is_saturated run the same
+walk: is_saturated over the points, each read as the k-bit set of the
+family members holding it.  Only generic.check_all_combos_dense needs the
+sets themselves.
+
+The size checks (is_independent, min_combination_size) need only sizes, so
+they AND intersections, not combinations: the same prefix walk gives
+|A_T| = |intersection of the sets indexed by T| for each of the
+sum_{j<=d} C(k,j) index sets T with |T| <= d (|A_()| = n, with no mask of
+the universe built), and each combination's size follows by subtraction,
+|P, Q + x| = |P, Q| - |P + x, Q|: per T one Moebius butterfly over the 2^|T|
+splits of T into pos and neg (Knuth, TAOCP 4A, 7.1.3).  They still pass
+_check_universe, so they refuse the same universes as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -246,30 +257,90 @@ def _check_depth(family: Family, depth: int) -> None:
         raise ValueError("depth must lie in [0, number of sets]")
 
 
+def _intersection_sizes(family: Family, depth: int) -> dict[int, int]:
+    # |A_T| for every index set T with |T| <= depth, keyed by T as a bitmask
+    # over the family's indices
+    _check_depth(family, depth)
+    _check_universe(family.n)
+    masks = [s.mask for s in family.sets]
+    chosen: list[int] = []
+    # base -1 ANDs to each set unchanged; the empty T's size is n itself
+    sizes = {sum(1 << i for i in chosen): mask.bit_count()
+             for mask in _prefix_masks(range(len(masks)), masks, -1, depth,
+                                       chosen)}
+    sizes[0] = family.n
+    return sizes
+
+
+def _split_sizes(sizes: dict[int, int], t: int) -> list[int]:
+    """The sizes of the 2^|T| combinations (P, T - P) for the index set T,
+    as the list indexed by s whose bit i puts T's i-th least index in P.
+
+    Starts from |A_P| for every P inside T and, one index x of T at a time,
+    takes |P, Q + x| = |P, Q| - |P + x, Q| for each P without x: a pass
+    pairs each even s with s + 1, then moves s's lowest bit to the top, so
+    after |T| passes every bit was lowest once and the layout is back.
+    """
+    subsets = [0]  # in order of s
+    rest = t
+    while rest:
+        low = rest & -rest
+        subsets += [p | low for p in subsets]
+        rest ^= low
+    split = list(map(sizes.__getitem__, subsets))
+    for _ in range(t.bit_count()):
+        with_x = split[1::2]
+        split = list(map(sub, split[0::2], with_x)) + with_x
+    return split
+
+
+def _spec_tuples(t: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (pos, neg) of the split s of the index set t, as in _split_sizes
+    members = list(_iter_bits(t))
+    return (tuple(m for i, m in enumerate(members) if s >> i & 1),
+            tuple(m for i, m in enumerate(members) if not s >> i & 1))
+
+
+def _least_size(sizes: dict[int, int], depth: int) -> int:
+    # only the index sets of exactly `depth` members need splitting: a
+    # combination of lower depth is the disjoint union of its two extensions
+    # by any further index, so it is never smaller than they are
+    return min(min(_split_sizes(sizes, t)) for t in sizes
+               if t.bit_count() == depth)
+
+
 def is_independent(family: Family, threshold: int, depth: int) -> IndependenceReport:
     """Does every combination of up to `depth` sets have >= `threshold` members?
 
-    On failure the report carries the lexicographically least failing spec;
-    on success, the smallest combination size.
+    On failure the report carries the lexicographically least failing spec
+    (pos-major, the order of combination_specs) and its size; on success,
+    the smallest combination size.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    _check_depth(family, depth)
-    smallest = family.n  # the empty spec's size
-    for mask, pos, neg in combination_masks(family, depth):
-        size = mask.bit_count()
-        if size < threshold:
-            return IndependenceReport(False, CombinationSpec(pos, neg), size,
-                                      threshold, depth)
-        if size < smallest:
-            smallest = size
-    return IndependenceReport(True, None, smallest, threshold, depth)
+    sizes = _intersection_sizes(family, depth)
+    smallest = _least_size(sizes, depth)
+    if smallest >= threshold:
+        return IndependenceReport(True, None, smallest, threshold, depth)
+    # each index set's first failing split in pos order, then the least of
+    # these: (pos, neg) tuples compare in combination_specs order
+    in_pos_order = [sorted(range(1 << j), key=lambda s, j=j: [
+        i for i in range(j) if s >> i & 1]) for j in range(depth + 1)]
+    failing = []
+    for t in sizes:
+        split = _split_sizes(sizes, t)
+        s = next((s for s in in_pos_order[t.bit_count()]
+                  if split[s] < threshold), None)
+        if s is not None:
+            failing.append((_spec_tuples(t, s), split[s]))
+    spec, size = min(failing)
+    return IndependenceReport(False, CombinationSpec(*spec), size, threshold,
+                              depth)
 
 
 def min_combination_size(family: Family, depth: int) -> int:
-    """Smallest combination size over all specs of depth <= `depth` (full scan)."""
-    _check_depth(family, depth)
-    return min(mask.bit_count() for mask, _, _ in combination_masks(family, depth))
+    """Smallest combination size over all specs of depth <= `depth`."""
+    return _least_size(_intersection_sizes(family, depth), depth)
 
 
 def is_saturated(family: Family, bound: int) -> SaturationReport:

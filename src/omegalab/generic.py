@@ -29,7 +29,8 @@ OUT = "out"
 MAX_GRID_CELLS = 1 << 22
 
 
-def _check_grid_size(rows: int, cols: int) -> None:
+def check_grid_size(rows: int, cols: int) -> None:
+    """Refuse a grid past MAX_GRID_CELLS values, before it is allocated."""
     if rows * cols * 2 > MAX_GRID_CELLS:
         raise ValueError(f"grid of {rows}x{cols}x2 values is past the cap "
                          f"of {MAX_GRID_CELLS}")
@@ -61,13 +62,13 @@ class TargetGrid:
     @classmethod
     def constant(cls, rows: int, cols: int, value_bound: int = 1,
                  fill: int = 0) -> "TargetGrid":
-        _check_grid_size(rows, cols)
+        check_grid_size(rows, cols)
         return cls(rows, cols, value_bound, (fill,) * (rows * cols * 2))
 
     @classmethod
     def random(cls, rows: int, cols: int, value_bound: int,
                rng: random.Random) -> "TargetGrid":
-        _check_grid_size(rows, cols)
+        check_grid_size(rows, cols)
         # row-major (m, k, i) draw order; pinned for reproducibility
         vals = tuple(rng.randrange(value_bound)
                      for _ in range(rows * cols * 2))

@@ -5,6 +5,7 @@ would, and pins the documented exit statuses: 0 pass, 1 violation,
 2 degraded, 64 usage, 65 bad data, 66 missing input, 70 internal error.
 """
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from omegalab import cli
+from omegalab import cli, diag
 from omegalab.jsonio import write_json
 
 SMOKE_CONFIG = {"K": 2, "N": 4096, "Ma": 8, "Mk": 8, "V": 1, "t": 2, "d": 2,
@@ -366,6 +367,34 @@ class TestDiagExperiment:
     def test_missing_config(self):
         res = run_cli("diag-experiment", "--config", "/nonexistent/cfg.json")
         assert res.returncode == 66
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t": 0}, "threshold must be >= 1"),
+        ({"N": 7, "search_bound": 7},
+         "rows (8) must not exceed the universe (7) when samples are drawn"),
+    ])
+    def test_impossible_config_refused_before_any_build(
+            self, workdir, monkeypatch, capsys, change, message):
+        builds = []
+        monkeypatch.setattr(diag, "build_generic",
+                            lambda *args: builds.append(args))
+        cfg = workdir / "config.json"
+        write_json(str(cfg), dict(SMOKE_CONFIG, **change))
+        assert cli.main(["diag-experiment", "--config", str(cfg)]) == 65
+        assert capsys.readouterr().err == f"invalid data: {message}\n"
+        assert builds == []
+
+    def test_rows_past_universe_without_samples_still_runs(self, workdir):
+        # no sample reads the permutation, so rows past N stay legal
+        cfg = workdir / "config.json"
+        write_json(str(cfg), dict(SMOKE_CONFIG, N=7, search_bound=7,
+                                  samples=0))
+        res = run_cli("diag-experiment", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.endswith(
+            "theorem-shadow: PASS (\u03c0 samples: 0, violations: 0)\n")
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "52470593ef42578379ffcb833f42f8c5df32c1620e874ecebd80ad07457616e3")
 
 
 def run_cli_capped(*args):

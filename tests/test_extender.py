@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -262,6 +263,14 @@ class TestAtomShuffle:
             AtomShuffle(((0, 2),))
         AtomShuffle(((), (0,), (1, 0)))
 
+    @pytest.mark.parametrize("perms", [
+        ((0, 0),), ((1, 2),), ((-1, 0),), ((0, 1), (0, 2)), ((2, 0, 0),),
+        ((0,), (1,)),
+    ])
+    def test_repeated_or_outside_position_rejected(self, perms):
+        with pytest.raises(ValueError, match="must permute 0..size-1"):
+            AtomShuffle(perms)
+
     def test_random_shapes(self):
         sh = AtomShuffle.random((3, 0, 2), random.Random(1))
         assert [len(p) for p in sh.perms] == [3, 0, 2]
@@ -321,6 +330,29 @@ class TestFindIndependentShuffle:
         assert rep.permutation.images == (
             28, 2, 25, 23, 12, 22, 5, 19, 24, 30, 21, 31, 8, 14, 1, 11,
             16, 6, 9, 15, 20, 10, 13, 7, 4, 18, 17, 3, 0, 26, 29, 27)
+
+    def test_reports_pinned(self):
+        # 108 seeded searches over three shapes (one with a non-empty f),
+        # budgets 0..8, thresholds on both sides of reach: the sha256 of
+        # their reprs is pinned to the value of the mask-by-mask scan
+        reports = []
+        for family, f, g, depth, layers, thresholds in (
+                (bit_family(2, 8), {}, {0: 1, 1: 0}, 2, 1, (1, 2, 3)),
+                (bit_family(3, 32), {1: 2, 6: 5}, {0: 1, 1: 0}, 3, 1,
+                 (2, 3, 4)),
+                (bit_family(3, 64), {}, {0: 1, 1: 2, 2: 0}, 3, 2,
+                 (3, 4, 5))):
+            for budget in (0, 1, 2, 3, 6, 8):
+                for threshold in thresholds:
+                    for seed in (5, 11):
+                        reports.append(find_independent_shuffle(
+                            PartialInjection.from_dict(family.n, f),
+                            FamilyMap.from_dict(g), family, threshold,
+                            depth, layers, budget, seed))
+        assert sum(rep.ok for rep in reports) == 63
+        text = "\n".join(map(repr, reports))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d54477239f93dfd9866e9e390fdda9b555e7637f73055dacdaafeac07b168ba5")
 
     def test_decomposition_derived_once_per_search(self, monkeypatch):
         calls = []

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -228,17 +230,14 @@ class TestIsIndependent:
 
 
 class TestCombinationScan:
-    """The prefix-sharing scan against a spec-by-spec loop of
-    combination_specs and boolean_combination."""
+    """The size checks (intersection table and subtractions) and the mask
+    scan against a spec-by-spec oracle: boolean_combination on each spec of
+    combination_specs, which builds every combination's set on its own."""
 
-    @given(wide_families(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_reports_equal_spec_by_spec_loop(self, family, data):
-        k = len(family.sets)
-        depth = data.draw(st.integers(0, k))
-        threshold = data.draw(st.integers(1, family.n + 1))
+    @staticmethod
+    def assert_equal_spec_by_spec_loop(family, depth, threshold):
         sizes = [(spec, len(boolean_combination(family, spec)))
-                 for spec in combination_specs(k, depth)]
+                 for spec in combination_specs(len(family.sets), depth)]
         smallest = min(size for _, size in sizes)
         failing = [(spec, size) for spec, size in sizes if size < threshold]
         if failing:
@@ -248,6 +247,45 @@ class TestCombinationScan:
                                           depth)
         assert is_independent(family, threshold, depth) == expected
         assert min_combination_size(family, depth) == smallest
+
+    @given(wide_families(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_equal_spec_by_spec_loop(self, family, data):
+        depth = data.draw(st.integers(0, len(family.sets)))
+        threshold = data.draw(st.integers(1, family.n + 1))
+        self.assert_equal_spec_by_spec_loop(family, depth, threshold)
+
+    @given(st.integers(1, 40), st.integers(8, 10), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_many_sets_equal_spec_by_spec_loop(self, n, k, data):
+        # up to 386 index sets, each split 2^|T| ways
+        family = Family(n, tuple(
+            FinSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+            for _ in range(k)))
+        depth = data.draw(st.integers(0, 4))
+        threshold = data.draw(st.integers(1, n + 1))
+        self.assert_equal_spec_by_spec_loop(family, depth, threshold)
+
+    def test_reports_pinned(self):
+        # 300 seeded families (n 1-70, k <= 7, empty and full sets drawn
+        # often, every depth and threshold 1..n+1): the sha256 of the
+        # reprs is pinned to the value of the mask-by-mask scan
+        rng = random.Random(20261018)
+        reports = []
+        for _ in range(300):
+            n = rng.randint(1, 70)
+            full = (1 << n) - 1
+            masks = [rng.choice((0, full, rng.getrandbits(n)))
+                     for _ in range(rng.randint(0, 7))]
+            family = Family(n, tuple(FinSet(n, m) for m in masks))
+            depth = rng.randint(0, len(masks))
+            threshold = rng.randint(1, n + 1)
+            reports.append((is_independent(family, threshold, depth),
+                            min_combination_size(family, depth)))
+        assert sum(rep.ok for rep, _ in reports) == 111
+        text = "\n".join(map(repr, reports))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9e1ba717108ec444d59b64a6419e585aea2d487e5ab86091792814ccc14ac63c")
 
     @given(wide_families(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
