@@ -12,8 +12,7 @@ from .diag import (CatchReport, LazyPermutation, MatchReport, PipelineReport,
                    case_split, grid_fn_from_perm, matches, moved_within,
                    run_pipeline, verify_catch)
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
-                     InducedMapNotPermutation, OmegalabError,
-                     PreconditionUnmet, SearchExhausted)
+                     InducedMapNotPermutation, OmegalabError, SearchExhausted)
 from .extender import (AtomDecomposition, AtomShuffle, FamilyMap,
                        HomogenizeParams, HomogenizeReport, PartialInjection,
                        Permutation, ShuffleSearchReport, atoms_of,

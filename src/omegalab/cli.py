@@ -19,8 +19,7 @@ from .codec import nth_partial_fn, partial_fn_index
 from .config import ExperimentConfig
 from .diag import run_pipeline
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
-                     InducedMapNotPermutation, PreconditionUnmet,
-                     SearchExhausted)
+                     InducedMapNotPermutation, SearchExhausted)
 from .extender import find_independent_shuffle, orbit_closure
 from .finset import bit_family, count_combinations, is_independent, is_saturated
 from .generic import (auto_schedule, build_generic, check_all_combos_dense,
@@ -69,6 +68,10 @@ def _spec_str(spec) -> str:
     return f"pos={list(spec.pos)} neg={list(spec.neg)}"
 
 
+def _independence_obj(rep) -> dict[str, Any]:
+    return {**independence_to_obj(rep), "t": rep.threshold, "d": rep.depth}
+
+
 def _say_independence(rep) -> None:
     if rep.ok:
         _say(f"independence: PASS (t={rep.threshold}, d={rep.depth}, "
@@ -100,8 +103,7 @@ def _cmd_check_indep(args) -> int:
     family = family_from_obj(read_json(args.family))
     depth = len(family.sets) if args.d is None else args.d
     rep = is_independent(family, args.t, depth)
-    _emit({**independence_to_obj(rep), "t": rep.threshold, "d": rep.depth},
-          args.out)
+    _emit(_independence_obj(rep), args.out)
     _say_independence(rep)
     return EX_OK if rep.ok else EX_VIOLATION
 
@@ -146,9 +148,8 @@ def _cmd_extend_perm(args) -> int:
         "permutation": None if rep.permutation is None
         else list(rep.permutation.images),
         "closure": None if rep.closure is None else family_to_obj(rep.closure),
-        "independence": None if rep.independence is None else {
-            **independence_to_obj(rep.independence),
-            "t": rep.independence.threshold, "d": rep.independence.depth},
+        "independence": None if rep.independence is None
+        else _independence_obj(rep.independence),
         "best_attempt": rep.best_attempt,
         "best_min_size": rep.best_min_size,
     }
@@ -372,7 +373,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as e:
         _say(f"bad JSON: {e}")
         return EX_DATA
-    except (IncompatiblePair, PreconditionUnmet, GridOverflow) as e:
+    except (IncompatiblePair, GridOverflow) as e:
         _say(f"invalid data: {e}")
         return EX_DATA
     except (SearchExhausted, CardinalityMismatch,

@@ -307,18 +307,23 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
     """
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
-    # the members that are probes and may witness themselves, as one small
-    # mask: testing a probe shifts these bits, not a whole FinSet's universe;
-    # the cut never passes the universe, whatever the bounds
+    # a member that is itself a probe below the search bound witnesses
+    # itself: walk the members below the cut in step with the probes.  A
+    # FinSet's walk copies its mask, so it walks only the bits below the
+    # cut, and no memory grows past the set's own, whatever the bounds
     cut = min(probe_bound, search_bound)
     if isinstance(members, FinSet):
-        ascending = members  # lazy, ascending
-        own = members.mask & ((1 << min(cut, members.n)) - 1)
+        ascending = members
+        own = FinSet(members.n, members.mask
+                     & ((1 << min(cut, members.mask.bit_length())) - 1))
     else:
-        ascending = sorted(set(members))
-        own = sum(1 << m for m in ascending if 0 <= m < cut)
+        ascending = own = sorted(set(members))
+    walk = iter(own)
+    member = next(walk, None)
     for m in range(probe_bound):
-        if own >> m & 1:
+        while member is not None and member < m:
+            member = next(walk, None)
+        if member == m and m < search_bound:
             continue  # a function extends itself
         if _least_member_extension(nth_partial_fn(m), ascending, -1,
                                    search_bound, set()) is None:

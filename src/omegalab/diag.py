@@ -8,25 +8,24 @@ function somewhere in the earlier row — verify_catch checks this exactly, and
 run_pipeline samples it at scale.
 
 grid_fn_from_perm decodes only the indices that can reach their row (a counted
-cutoff; at desk scale rows 0-2, the reachability wall), and run_pipeline
-trusts each build's Condition, validated against its grid when it was made,
-instead of re-running is_condition per sample.
+cutoff; at desk scale rows 0-2, the reachability wall).  verify_catch takes
+the set as a generic.Condition, which checked the pairwise match against its
+grid when it was made, so no sample checks that precondition again.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Protocol, Sequence
+from typing import Any, Iterable, Optional, Protocol
 
 from .codec import (PartialFn, count_functional_below, entry_slot,
                     nth_partial_fn)
 from .config import GRID_TAG, PERM_TAG, ExperimentConfig, child_seed
-from .errors import GridOverflow, PreconditionUnmet
 from .finset import Family, FinSet, IndependenceReport, is_independent
-from .generic import (ComboDensityReport, GenericRun, TargetGrid,
+from .generic import (ComboDensityReport, Condition, GenericRun, TargetGrid,
                       auto_schedule, build_generic, check_all_combos_dense,
-                      is_condition, row_match_column)
+                      row_match_column)
 from .jsonio import (density_to_obj, grid_to_obj, independence_to_obj,
                      run_to_obj)
 
@@ -119,27 +118,12 @@ class CatchReport:
     failures: tuple[tuple[int, int, int], ...]  # (row, partner, layer)
 
 
-def verify_catch(members: Iterable[int], target: TargetGrid,
-                 perm: PointPermutation) -> CatchReport:
-    """Exact check of the capture property for one set, target and
-    permutation; raises PreconditionUnmet unless the set matches the target
-    pairwise."""
-    elems = sorted(set(members))
-    try:
-        rep = is_condition(elems, target)
-    except GridOverflow as e:
-        raise PreconditionUnmet(str(e)) from e
-    if not rep.ok:
-        raise PreconditionUnmet(
-            f"pair {rep.witness} of the set has no match on the target")
-    return _catch(elems, target, perm)
-
-
-def _catch(elems: Sequence[int], target: TargetGrid,
-           perm: PointPermutation) -> CatchReport:
-    """verify_catch past its precondition: `elems` ascending and matching
-    the target pairwise, so every case's row lies inside the grid."""
-    up, down = case_split(perm, elems)
+def verify_catch(cond: Condition, perm: PointPermutation) -> CatchReport:
+    """Exact check of the capture property for one chain and permutation.
+    The chain matches its grid pairwise, as every Condition does, so every
+    case's row lies inside the grid."""
+    target = cond.grid
+    up, down = case_split(perm, cond.elements)
     failures = []
     for m in up:
         partner = perm.apply(m)
@@ -192,8 +176,11 @@ class LazyPermutation:
 @dataclass(frozen=True)
 class BuildRecord:
     index: int
-    grid: TargetGrid
     run: GenericRun
+
+    @property
+    def grid(self) -> TargetGrid:
+        return self.run.condition.grid
 
     def to_json_obj(self) -> dict[str, Any]:
         return {"index": self.index, "grid": grid_to_obj(self.grid),
@@ -299,7 +286,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
                        tuple(f"A{j}" for j in range(len(built_sets))))
         schedule = auto_schedule(len(built_sets), config.probes)
         run = build_generic([prior], grid, schedule, config.search_bound)
-        builds.append(BuildRecord(alpha, grid, run))
+        builds.append(BuildRecord(alpha, run))
         built_sets.append(run.result_set)
 
     joint = Family(n, tuple(built_sets),
@@ -318,10 +305,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         up_checked = down_checked = violations = 0
         for record in builds:
             match_counts.append(matches(fn, record.grid, config.threshold).count)
-            # a Condition validated its chain against this very grid when it
-            # was built, so the precondition is not checked again per sample
-            cond = record.run.condition
-            catch = _catch(cond.elements, cond.grid, perm)
+            catch = verify_catch(record.run.condition, perm)
             up_checked += len(catch.up_cases)
             down_checked += len(catch.down_cases)
             violations += len(catch.failures)

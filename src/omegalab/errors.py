@@ -13,9 +13,13 @@ class OmegalabError(Exception):
 class GridOverflow(OmegalabError):
     """A computation needed a grid row/column outside the grid bounds."""
 
+    kind = "grid-overflow"  # the failure kind of a build it stops
+
 
 class SearchExhausted(OmegalabError):
     """No witness exists below the requested search bound."""
+
+    kind = "search-exhausted"
 
 
 class IncompatiblePair(OmegalabError):
@@ -28,7 +32,3 @@ class InducedMapNotPermutation(OmegalabError):
 
 class CardinalityMismatch(OmegalabError):
     """Two cells that must be matched up have different sizes."""
-
-
-class PreconditionUnmet(OmegalabError):
-    """A check was invoked on input that fails its stated precondition."""

@@ -15,7 +15,7 @@ of the search takes the closure's least combination size once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -339,21 +339,16 @@ def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
     sets = list(family.sets)
     labels = list(base_labels)
     seen = {s.mask for s in sets}
-    fwd = list(family.sets)
-    bwd = list(family.sets)
+    image_of = {"+": perm.apply_set, "-": perm.inverse_apply_set}
+    fronts = {sign: family.sets for sign in image_of}
     for ell in range(1, layers + 1):
-        fwd = [perm.apply_set(s) for s in fwd]
-        for j, s in enumerate(fwd):
-            if s.mask not in seen:
-                seen.add(s.mask)
-                sets.append(s)
-                labels.append(f"{base_labels[j]}+{ell}")
-        bwd = [perm.inverse_apply_set(s) for s in bwd]
-        for j, s in enumerate(bwd):
-            if s.mask not in seen:
-                seen.add(s.mask)
-                sets.append(s)
-                labels.append(f"{base_labels[j]}-{ell}")
+        for sign, image in image_of.items():  # forward first, then backward
+            fronts[sign] = [image(s) for s in fronts[sign]]
+            for j, s in enumerate(fronts[sign]):
+                if s.mask not in seen:
+                    seen.add(s.mask)
+                    sets.append(s)
+                    labels.append(f"{base_labels[j]}{sign}{ell}")
     return Family(family.n, tuple(sets), tuple(labels))
 
 
@@ -371,7 +366,11 @@ class ShuffleSearchReport:
     independence: Optional[IndependenceReport]
     best_attempt: Optional[int]
     best_min_size: Optional[int]
-    exhausted: bool
+    # always `not ok`; a field, not a property, so that the repr lists it
+    exhausted: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "exhausted", not self.ok)
 
 
 def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
@@ -405,11 +404,11 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
         if size >= threshold:
             rep = IndependenceReport(True, None, size, threshold, d)
             return ShuffleSearchReport(True, attempt, budget, shuffle, perm,
-                                       closure, rep, attempt, size, False)
+                                       closure, rep, attempt, size)
         if best_min_size is None or size > best_min_size:
             best_attempt, best_min_size = attempt, size
     return ShuffleSearchReport(False, budget, budget, None, None, None, None,
-                               best_attempt, best_min_size, True)
+                               best_attempt, best_min_size)
 
 
 @dataclass(frozen=True)
@@ -423,10 +422,13 @@ class HomogenizeParams:
 
 @dataclass(frozen=True)
 class HomogenizeReport:
-    ok: bool
     steps: tuple[ShuffleSearchReport, ...]
     family: Family
     failed_at: Optional[int]
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_at is None
 
 
 def homogenize(family: Family,
@@ -442,6 +444,6 @@ def homogenize(family: Family,
             params.budget, child_seed(params.seed, HOMOG_TAG, idx))
         steps.append(rep)
         if not rep.ok:
-            return HomogenizeReport(False, tuple(steps), current, idx)
+            return HomogenizeReport(tuple(steps), current, idx)
         current = rep.closure
-    return HomogenizeReport(True, tuple(steps), current, None)
+    return HomogenizeReport(tuple(steps), current, None)

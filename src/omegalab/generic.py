@@ -170,7 +170,6 @@ class Demand:
 class MeetResult:
     condition: Condition
     witness: int
-    added: tuple[int, ...]
 
 
 def merge_families(families: Sequence[Family]) -> Family:
@@ -248,7 +247,7 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
             raise SearchExhausted(
                 f"no in-witness below {search_bound} for probe "
                 f"{demand.probe_index} over spec {demand.spec}")
-        return MeetResult(cond.extended(n), n, (n,))
+        return MeetResult(cond.extended(n), n)
 
     witness = least_extension_index(
         probe, -1, search_bound, within=within,
@@ -264,15 +263,15 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
         raise SearchExhausted(
             f"no end-extension past {above2} below {search_bound} to lock "
             f"the out-witness {witness}")
-    return MeetResult(cond.extended(pad), witness, (pad,))
+    return MeetResult(cond.extended(pad), witness)
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One met demand; it added one element, the chain's new maximum."""
+
     demand: Demand
     witness: int
-    added: tuple[int, ...]
-    elements_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -284,10 +283,17 @@ class GenericRun:
     condition: Condition
     steps: tuple[StepRecord, ...]
     schedule_length: int
-    degraded: bool
     failure_kind: Optional[str]
     failure_detail: Optional[str]
-    failed_at: Optional[int]
+
+    @property
+    def degraded(self) -> bool:
+        return self.failure_kind is not None
+
+    @property
+    def failed_at(self) -> Optional[int]:
+        """The demand the fold stopped at, after meeting every earlier one."""
+        return len(self.steps) if self.degraded else None
 
     @property
     def result_set(self) -> FinSet:
@@ -314,22 +320,17 @@ def build_generic(families: Sequence[Family], grid: TargetGrid,
         raise ValueError("search bound cannot exceed the universe size")
     cond = Condition.empty(grid)
     steps: list[StepRecord] = []
-    degraded = False
     kind = detail = None
-    failed_at = None
-    for j, demand in enumerate(schedule):
+    for demand in schedule:
         try:
             res = extend_to_meet(cond, demand, families, search_bound)
-        except SearchExhausted as e:
-            degraded, kind, detail, failed_at = True, "search-exhausted", str(e), j
-            break
-        except GridOverflow as e:
-            degraded, kind, detail, failed_at = True, "grid-overflow", str(e), j
+        except (SearchExhausted, GridOverflow) as e:
+            kind, detail = e.kind, str(e)
             break
         cond = res.condition
-        steps.append(StepRecord(demand, res.witness, res.added, cond.elements))
+        steps.append(StepRecord(demand, res.witness))
     return GenericRun(merged.n, search_bound, cond, tuple(steps),
-                      len(schedule), degraded, kind, detail, failed_at)
+                      len(schedule), kind, detail)
 
 
 def auto_schedule(prior_set_count: int, probes: int) -> tuple[Demand, ...]:

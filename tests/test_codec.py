@@ -1,4 +1,7 @@
 import math
+import resource
+import subprocess
+import sys
 from bisect import bisect_left
 
 import pytest
@@ -273,6 +276,23 @@ class TestCheckDense:
         # the first missing probe at once, with no 10**12-bit integer
         rep = check_dense(members, 10 ** 12, 10 ** 12)
         assert not rep.ok and rep.missing_probe == missing
+
+    def test_memory_follows_the_members_not_their_values(self):
+        # a mask of the self-witnessing probes would ask for 2^(10^12) bits
+        # on the set and 2^(10^11) on the list; run in a child under a 1 GiB
+        # address-space cap, so a regression fails there, not on the machine
+        code = ("from omegalab.codec import check_dense\n"
+                "from omegalab.finset import FinSet\n"
+                "big = 10 ** 12\n"
+                "for members in (FinSet(big, 0b1011), [0, 1, 3, 10 ** 11]):\n"
+                "    print(check_dense(members, big, big).missing_probe)\n")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, preexec_fn=cap, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["4", "4"]
 
 
 class TestLeastExtensionIndex:

@@ -13,9 +13,9 @@ from omegalab.config import ExperimentConfig, child_seed
 from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
                            run_pipeline, verify_catch)
-from omegalab.errors import PreconditionUnmet
+from omegalab.errors import GridOverflow
 from omegalab.extender import Permutation
-from omegalab.generic import TargetGrid
+from omegalab.generic import Condition, TargetGrid
 
 ZERO_GRID = TargetGrid.constant(4, 4)
 
@@ -179,22 +179,26 @@ class TestMatches:
 
 
 class TestVerifyCatch:
+    # the precondition, a set matching its grid pairwise, is the argument's
+    # type: Condition refuses any other set (see test_generic.TestCondition)
     def test_swap_pair_is_caught(self):
-        rep = verify_catch([0, 3], ZERO_GRID, swap03())
+        rep = verify_catch(Condition((0, 3), ZERO_GRID), swap03())
         assert rep.ok
         assert rep.up_cases == (0,) and rep.down_cases == (3,)
         assert rep.failures == ()
 
     def test_precondition_pairwise_match(self):
-        with pytest.raises(PreconditionUnmet):
-            verify_catch([0, 1], ZERO_GRID, swap03())
+        with pytest.raises(ValueError):
+            verify_catch(Condition((0, 1), ZERO_GRID), swap03())
 
     def test_precondition_wraps_grid_overflow(self):
-        with pytest.raises(PreconditionUnmet):
-            verify_catch([5, 7], ZERO_GRID, swap03(16))
+        # a member past the grid's rows stops the chain before the check runs
+        with pytest.raises(GridOverflow):
+            verify_catch(Condition((5, 7), ZERO_GRID), swap03(16))
 
     def test_vacuous_when_nothing_moves_inside(self):
-        rep = verify_catch([0, 3], ZERO_GRID, Permutation.identity(16))
+        rep = verify_catch(Condition((0, 3), ZERO_GRID),
+                           Permutation.identity(16))
         assert rep.ok and rep.up_cases == () and rep.down_cases == ()
 
 
@@ -314,7 +318,6 @@ class TestRunPipeline:
             checks.append(args)
             return real(*args)
         monkeypatch.setattr(generic, "is_condition", counted)
-        monkeypatch.setattr(diag, "is_condition", counted)
         counts = []
         for samples in (1, 50):
             checks.clear()

@@ -116,6 +116,8 @@ class TestCondition:
             Condition((0, 1), ZERO_GRID)
         with pytest.raises(ValueError):
             Condition((3, 0), ZERO_GRID)
+        with pytest.raises(GridOverflow):
+            Condition((5, 7), ZERO_GRID)  # row 5 is past the grid's 4
 
     def test_extension_must_grow(self):
         cond = Condition.empty(ZERO_GRID)
@@ -131,7 +133,7 @@ class TestExtendToMeet:
         res = extend_to_meet(Condition.empty(ZERO_GRID), in_demand(),
                              no_sets(), 1 << 12)
         assert res.condition.elements == (0,)
-        assert res.witness == 0 and res.added == (0,)
+        assert res.witness == 0
 
     def test_in_demand_echoes_prior_element(self):
         cond = Condition((0,), ZERO_GRID)
@@ -146,7 +148,6 @@ class TestExtendToMeet:
         res = extend_to_meet(cond, out_demand(), no_sets(), 1 << 12)
         assert res.witness == 1          # least index not already in the chain
         assert res.condition.elements == (0, 3)   # end-extension past it
-        assert res.added == (3,)
         assert 1 not in res.condition.elements
 
     def test_in_demand_restricted_to_set(self):
@@ -334,10 +335,9 @@ class TestScheduleProperties:
             assert len(run.steps) == run.failed_at
         else:
             assert len(run.steps) == len(schedule)
-        previous = ()
+        # each met demand added one element, the chain's new maximum
+        assert len(elems) == len(run.steps)
         for step in run.steps:
-            assert step.elements_after[:len(previous)] == previous
-            previous = step.elements_after
             if step.demand.polarity == IN:
                 assert step.witness in run.condition.elements
             else:
