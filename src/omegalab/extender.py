@@ -7,9 +7,10 @@ image cell.  build_permutation completes such a pair to a full permutation,
 filling each cell with an order bijection twisted by a per-cell shuffle.
 Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
-A set's image is read off its base-2 digits through the preimage table in
-C-level string passes, with no Python loop over members, and each attempt
-of the search takes the closure's least combination size once.
+A set's image is read off its base-2 digits in C-level passes, with no
+Python loop over points: one itemgetter over the preimage table picks each
+point's digit and one str.join assembles them.  Each attempt of the search
+takes the closure's least combination size once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .config import HOMOG_TAG, child_seed
@@ -257,12 +259,16 @@ class Permutation:
 
     def _image_set(self, s: FinSet, preimages: Sequence[int]) -> FinSet:
         """The set whose point y is in exactly when preimages[y] is in s,
-        read off s's base-2 digits in C-level passes (no loop per member;
-        base-2 conversions are exempt from the int/str digit limit)."""
+        read off s's base-2 digits in C-level passes: format, one
+        itemgetter(*preimages) call that picks y's digit for every y, join
+        and int(..., 2).  No loop per point; base-2 conversions are exempt
+        from the int/str digit limit."""
         if s.n != self.n:
             raise ValueError("set lives in a different universe")
         bits = format(s.mask, f"0{self.n}b")[::-1]  # bits[x] is x's digit
-        image = "".join(map(bits.__getitem__, preimages))
+        # itemgetter keeps the preimage tuple without copying it; for one
+        # index it returns the digit itself, which joins the same
+        image = "".join(itemgetter(*preimages)(bits))
         return FinSet(self.n, int(image[::-1], 2))
 
 

@@ -224,6 +224,15 @@ class TestPermutation:
         with pytest.raises(ValueError):
             p.apply_set(FinSet(2, 1))
 
+    @pytest.mark.parametrize("mask, image", [
+        (0b00, 0b00), (0b01, 0b10), (0b10, 0b01), (0b11, 0b11)])
+    def test_set_images_on_two_points(self, mask, image):
+        # two preimages make itemgetter return a tuple, one a bare digit
+        swap = Permutation(2, (1, 0))
+        s = FinSet(2, mask)
+        assert swap.apply_set(s) == FinSet(2, image)
+        assert swap.inverse_apply_set(s) == FinSet(2, image)
+
 
 class TestOrbitClosure:
     def test_one_layer_example(self):

@@ -71,6 +71,38 @@ class TestFinSet:
         s = FinSet.from_members(n, members)
         assert s.to_list() == sorted(set(members))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_to_list_equals_iteration_and_bit_oracle(self, data):
+        # n = 1, the empty mask and the top member n - 1 are drawn on purpose
+        n = data.draw(st.one_of(st.just(1), st.integers(1, 200)))
+        full = (1 << n) - 1
+        s = FinSet(n, data.draw(st.one_of(
+            st.just(0), st.just(1 << (n - 1)), st.just(full),
+            st.integers(0, full))))
+        assert s.to_list() == list(iter(s)) == \
+            [x for x in range(n) if s.mask >> x & 1]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_members_equals_or_per_member(self, data):
+        n = data.draw(st.one_of(st.just(1), st.integers(1, 200)))
+        # unsorted, with repeats, and often holding n - 1
+        members = data.draw(st.lists(
+            st.one_of(st.just(n - 1), st.integers(0, n - 1)), max_size=60))
+        mask = 0
+        for x in members:  # the construction from_members replaced
+            mask |= 1 << x
+        s = FinSet.from_members(n, members)
+        assert s.mask == mask
+        assert FinSet.from_members(n, iter(members)) == s
+
+    @pytest.mark.parametrize("members, bad", [
+        ([-1], -1), ([2, -9, 1], -9), ([0, 4], 4), ([3, 100, -1], 100)])
+    def test_from_members_rejects_negative_and_outside(self, members, bad):
+        with pytest.raises(ValueError, match=f"member {bad} outside"):
+            FinSet.from_members(4, members)
+
 
 class TestCombinationSpec:
     def test_sorts_and_validates(self):
