@@ -17,7 +17,8 @@ exact division and multiplication per position: O(bits) big-integer steps.
 Ranking a code of k entries takes k closed-form counts, each divided by the
 factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
 The least extension of a probe past a code is built digit by digit in one
-top-down scan of the positions below the search bound, plus one rank.
+top-down scan of the positions below a top taken from that code and the
+probe, plus one rank; the search bound is compared only with that rank.
 nth_partial_fn builds its function from the walk's (group, value) pairs
 without re-validating them: the walk yields a functional code by
 construction.  Density checks and searches within a member set merge the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .finset import FinSet
 
@@ -298,7 +299,7 @@ class DenseReport:
     search_bound: int
 
 
-def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> DenseReport:
+def check_dense(members: FinSet, probe_bound: int, search_bound: int) -> DenseReport:
     """Does every probe index m < probe_bound have an extension witness in
     `members` below search_bound?
 
@@ -312,12 +313,8 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
     # FinSet's walk copies its mask, so it walks only the bits below the
     # cut, and no memory grows past the set's own, whatever the bounds
     cut = min(probe_bound, search_bound)
-    if isinstance(members, FinSet):
-        ascending = members
-        own = FinSet(members.n, members.mask
-                     & ((1 << min(cut, members.mask.bit_length())) - 1))
-    else:
-        ascending = own = sorted(set(members))
+    own = FinSet(members.n, members.mask
+                 & ((1 << min(cut, members.mask.bit_length())) - 1))
     walk = iter(own)
     member = next(walk, None)
     for m in range(probe_bound):
@@ -325,14 +322,14 @@ def check_dense(members: Iterable[int], probe_bound: int, search_bound: int) -> 
             member = next(walk, None)
         if member == m and m < search_bound:
             continue  # a function extends itself
-        if _least_member_extension(nth_partial_fn(m), ascending, -1,
+        if _least_member_extension(nth_partial_fn(m), members, -1,
                                    search_bound, set()) is None:
             return DenseReport(False, m, probe_bound, search_bound)
     return DenseReport(True, None, probe_bound, search_bound)
 
 
 def least_extension_index(probe: PartialFn, above: int, search_bound: int,
-                          within: Optional[Iterable[int]] = None,
+                          within: Optional[FinSet] = None,
                           without: Iterable[int] = ()) -> Optional[int]:
     """Smallest index n with above < n < search_bound whose function extends
     `probe`, restricted to `within` (when given) and avoiding `without`.
@@ -344,54 +341,49 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
     excluded = set(without)
 
     if within is not None:
-        return _least_member_extension(probe, sorted(set(within)), above,
-                                       search_bound, excluded)
-    return _extension_search(probe, search_bound, excluded)(above)
+        return _least_member_extension(probe, within, above, search_bound,
+                                       excluded)
+    return _least_extension(probe, above, search_bound, excluded)
 
 
-def _extension_search(probe: PartialFn, search_bound: int, excluded: set[int]
-                      ) -> Callable[[int], Optional[int]]:
-    """The search of least_extension_index as a function of `above`, so that
-    repeated searches unrank the bound once (and an empty probe never)."""
+def _least_extension(probe: PartialFn, above: int, search_bound: int,
+                     excluded: set[int]) -> Optional[int]:
+    """The search of least_extension_index without a member set."""
     if not probe.entries:
-        def least(above: int) -> Optional[int]:
-            n = above + 1 if above >= 0 else 0
-            while n in excluded:
-                n += 1
-            return n if n < search_bound else None
-        return least
+        n = above + 1 if above >= 0 else 0
+        while n in excluded:
+            n += 1
+        return n if n < search_bound else None
 
-    raw_hi = raw_code_of_index(search_bound)
-    top = raw_hi.bit_length()
-    if probe.slots[-1] >= top:
-        return lambda above: None  # the highest entry alone lies past the bound
-    mask = probe.raw_code
-
-    def least(above: int) -> Optional[int]:
-        candidate = (mask if above < 0
-                     else _next_superset(mask, raw_code_of_index(above), top))
-        while candidate is not None and candidate < raw_hi:
-            n = index_of_raw_code(candidate)
-            if n not in excluded:
-                return n
-            candidate = _next_superset(mask, candidate, top)
+    # every code holding the probe's top slot s ranks after the (w+1)!(k+1)
+    # codes with all slots below s; (w+1)! >= 2^w settles a large w without
+    # the factorial, and before raw_code, which refuses slots past SLOT_LIMIT
+    s = probe.slots[-1]
+    if (_diagonal(s)[0] >= search_bound.bit_length()
+            or count_functional_below(s) >= search_bound):
         return None
-    return least
+    mask = probe.raw_code
+    candidate = (mask if above < 0
+                 else _next_superset(mask, raw_code_of_index(above)))
+    while (n := index_of_raw_code(candidate)) < search_bound:
+        if n not in excluded:
+            return n
+        candidate = _next_superset(mask, candidate)
+    return None
 
 
-def _least_member_extension(probe: PartialFn, ascending: Iterable[int],
+def _least_member_extension(probe: PartialFn, members: FinSet,
                             above: int, search_bound: int,
                             excluded: set[int]) -> Optional[int]:
-    """Least n of the increasing `ascending`, above < n < search_bound and
-    not excluded, whose function extends `probe`.  Merges the members with
-    the probe's extensions in index order, so no member is decoded: each
-    step of the extensions is one counting search, to the least one at or
-    past the current member."""
-    least = _extension_search(probe, search_bound, excluded)
-    e = least(above)
-    for n in ascending:
+    """Least n of `members`, above < n < search_bound and not excluded,
+    whose function extends `probe`.  Merges the members with the probe's
+    extensions in index order, so no member is decoded: each step of the
+    extensions is one counting search, to the least one at or past the
+    current member."""
+    e = _least_extension(probe, above, search_bound, excluded)
+    for n in members:
         if e is not None and n > e:
-            e = least(n - 1)
+            e = _least_extension(probe, n - 1, search_bound, excluded)
         if e is None:
             return None
         if n == e:
@@ -399,21 +391,27 @@ def _least_member_extension(probe: PartialFn, ascending: Iterable[int],
     return None
 
 
-def _next_superset(mask: int, low: int, top: int) -> Optional[int]:
-    """Least functional raw code above the functional code `low`, with all
-    slots below `top`, that contains the functional code `mask`, or None.
+def _next_superset(mask: int, low: int) -> int:
+    """Least functional raw code above the functional code `low` that
+    contains the functional code `mask`.
 
     Such a code agrees with `low` above some position p, sets bit p where
     `low` has it clear, and at its least holds only mask's slots below p; a
     lower admissible p gives a smaller code.  p cannot lie below mask's top
-    slot missing from `low`.  `kept` holds the groups of low's slots above
-    p, and `rest` those of mask's slots below p.
+    slot missing from `low`.  The scan starts at the first position q at or
+    above both codes' bit lengths whose group holds no slot of mask.  q is
+    admissible, as (1 << q) | mask is functional and lies above low: so the
+    scan always finds a p, and no p above q gives a smaller code.  `kept`
+    holds the groups of low's slots above p, and `rest` those of mask's
+    slots below p.
     """
     kept: set[int] = set()
     rest = {_slot_group(s) for s in range(mask.bit_length()) if mask >> s & 1}
-    best = None
-    g, v = cantor_unpair(top)
-    for p in range(top - 1, max((mask & ~low).bit_length() - 1, 0) - 1, -1):
+    q = max(low.bit_length(), mask.bit_length())
+    while _slot_group(q) in rest:
+        q += 1
+    g, v = cantor_unpair(q + 1)
+    for p in range(q, max((mask & ~low).bit_length() - 1, 0) - 1, -1):
         g, v = (g + 1, v - 1) if v else (0, g - 1)  # the group of slot p
         in_mask, in_low = mask >> p & 1, low >> p & 1
         if in_mask:
@@ -424,7 +422,5 @@ def _next_superset(mask: int, low: int, top: int) -> Optional[int]:
             if g in rest:
                 break  # every lower p keeps this slot and mask's of group g
             kept.add(g)
-    if best is None:
-        return None
     bit = 1 << best
     return (low & -(bit << 1)) | bit | (mask & (bit - 1))

@@ -66,15 +66,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         positive = ("builds", "universe", "rows", "cols", "value_bound",
-                    "threshold", "search_bound")
+                    "threshold", "probe_bound", "search_bound")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        nonneg = ("depth", "probes", "probe_bound", "samples", "seed")
+        nonneg = ("depth", "probes", "samples", "seed")
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         check_grid_size(self.rows, self.cols)
+        # every build's chain names points below the search bound
+        if self.search_bound > self.universe:
+            raise ValueError("search bound cannot exceed the universe size")
         # each sample reads the permutation at the points below rows
         if self.samples and self.rows > self.universe:
             raise ValueError(f"rows ({self.rows}) must not exceed the "

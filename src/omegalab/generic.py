@@ -206,11 +206,11 @@ def _echo_entries(elements: Sequence[int], grid: TargetGrid,
 
 
 def _demand_search_sets(spec: CombinationSpec, merged: Family
-                        ) -> tuple[Optional[list[int]], set[int]]:
-    """Realize the demand's index set for searching: an explicit member list
-    when any set enters positively, else an exclusion set."""
+                        ) -> tuple[Optional[FinSet], set[int]]:
+    """Realize the demand's index set for searching: the member set when
+    any set enters positively, else an exclusion set."""
     if spec.pos:
-        return boolean_combination(merged, spec).to_list(), set()
+        return boolean_combination(merged, spec), set()
     excluded: set[int] = set()
     for idx in spec.neg:
         if not 0 <= idx < len(merged.sets):

@@ -372,6 +372,8 @@ class TestDiagExperiment:
         ({"t": 0}, "threshold must be >= 1"),
         ({"N": 7, "search_bound": 7},
          "rows (8) must not exceed the universe (7) when samples are drawn"),
+        ({"probe_bound": 0}, "probe_bound must be >= 1"),
+        ({"search_bound": 4097}, "search bound cannot exceed the universe size"),
     ])
     def test_impossible_config_refused_before_any_build(
             self, workdir, monkeypatch, capsys, change, message):

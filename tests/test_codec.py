@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -9,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
-                            _unrank, cantor_pair,
+                            _next_superset, _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
                             index_of_raw_code, is_functional_raw,
                             least_extension_index, nth_partial_fn,
                             partial_fn_index, point_code, point_decode,
                             raw_code_of_index, slot_decode)
-from omegalab.finset import FinSet
+from omegalab.finset import CombinationSpec, Family, FinSet, bit_family
+from omegalab.generic import (IN, OUT, Demand, TargetGrid, auto_schedule,
+                             build_generic)
 
 
 # --- independent oracle -------------------------------------------------------
@@ -250,7 +254,7 @@ class TestCheckDense:
 
     def test_even_indices_by_brute_force(self):
         members = [m for m in range(0, 4000, 2)]
-        rep = check_dense(members, 8, 4000)
+        rep = check_dense(FinSet.from_members(4000, members), 8, 4000)
         expected_ok = True
         for probe in range(8):
             probe_fn = nth_partial_fn(probe)
@@ -260,10 +264,8 @@ class TestCheckDense:
                 break
         assert rep.ok == expected_ok
 
-    def test_plain_iterables_accepted(self):
-        assert check_dense([0, 1, 2, 3, 4], 4, 16).ok
-
-    @pytest.mark.parametrize("members", [FinSet(16, 0xFFFF), list(range(16))])
+    @pytest.mark.parametrize("members", [FinSet(16, 0xFFFF),
+                                         FinSet.from_members(16, range(16))])
     def test_member_past_search_bound_is_no_witness(self, members):
         # probe 4 is a member, but no index below the bound 4 extends it
         rep = check_dense(members, 8, 4)
@@ -278,21 +280,20 @@ class TestCheckDense:
         assert not rep.ok and rep.missing_probe == missing
 
     def test_memory_follows_the_members_not_their_values(self):
-        # a mask of the self-witnessing probes would ask for 2^(10^12) bits
-        # on the set and 2^(10^11) on the list; run in a child under a 1 GiB
-        # address-space cap, so a regression fails there, not on the machine
+        # a mask of the self-witnessing probes would ask for 2^(10^12) bits;
+        # run in a child under a 1 GiB address-space cap, so a regression
+        # fails there, not on the machine
         code = ("from omegalab.codec import check_dense\n"
                 "from omegalab.finset import FinSet\n"
                 "big = 10 ** 12\n"
-                "for members in (FinSet(big, 0b1011), [0, 1, 3, 10 ** 11]):\n"
-                "    print(check_dense(members, big, big).missing_probe)\n")
+                "print(check_dense(FinSet(big, 0b1011), big, big).missing_probe)\n")
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, preexec_fn=cap, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["4", "4"]
+        assert res.stdout.split() == ["4"]
 
 
 class TestLeastExtensionIndex:
@@ -308,17 +309,45 @@ class TestLeastExtensionIndex:
             index_of_raw_code(0b1011)  # next raw containing slots {0, 1}
 
     def test_within_path(self):
+        def within(*members):
+            return FinSet.from_members(16, members)
         probe = PartialFn.from_entries([(0, 0, 0, 0)])
-        assert least_extension_index(probe, -1, 1 << 20, within=[0, 2, 3]) == 3
-        assert least_extension_index(probe, -1, 1 << 20, within=[0, 2]) is None
+        assert least_extension_index(probe, -1, 1 << 20,
+                                     within=within(0, 2, 3)) == 3
+        assert least_extension_index(probe, -1, 1 << 20,
+                                     within=within(0, 2)) is None
         # the least extension (0) is no member, the member right after it is
-        assert least_extension_index(EMPTY_FN, -1, 100, within=[1, 5]) == 1
-        assert least_extension_index(probe, -1, 1 << 20, within=[1, 3],
+        assert least_extension_index(EMPTY_FN, -1, 100,
+                                     within=within(1, 5)) == 1
+        assert least_extension_index(probe, -1, 1 << 20, within=within(1, 3),
                                      without=[1]) == 3
 
     def test_unreachable_slots_return_none(self):
         probe = PartialFn.from_entries([(50, 0, 0, 0)])
         assert least_extension_index(probe, -1, 1 << 20) is None
+
+    def test_far_row_entry_is_none_without_a_raw_code(self):
+        # an echo entry in row 120 sits past SLOT_LIMIT: the bound check
+        # answers before the probe's raw code, which would refuse it
+        for probe in (PartialFn.from_entries([(120, 0, 0, 0)]),
+                      PartialFn.from_entries([(0, 0, 0, 0), (120, 3, 1, 2)])):
+            with pytest.raises(ValueError):
+                _ = probe.raw_code
+            for bound in (1 << 20, 10 ** 80):
+                for above in (-1, 5, bound + 1):
+                    assert least_extension_index(probe, above, bound) is None
+
+    @given(st.integers(0, 600), st.integers(-1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_single_slot_bound_is_its_count_below(self, s, above):
+        # the code holding only slot s is the first of those holding s: it
+        # ranks at C(s), the count of codes with every slot below s
+        probe = PartialFn.from_entries([slot_decode(s)])
+        count = count_functional_below(s)
+        assert count == index_of_raw_code(1 << s)
+        assert least_extension_index(probe, above, count) is None
+        expected = count if above < count else None
+        assert least_extension_index(probe, above, count + 1) == expected
 
     def test_bound_is_exclusive(self):
         probe = PartialFn.from_entries([(0, 0, 0, 0)])
@@ -376,6 +405,16 @@ class TestCountingPath:
         assert raws == [_unrank(m) for m in range(120_950, 120_971)]
         assert all(x < y for x, y in zip(raws, raws[1:]))
 
+    @given(st.integers(0, 2000), st.integers(0, 20_000))
+    @settings(max_examples=200, deadline=None)
+    def test_next_superset_against_stepping(self, mask_index, low_index):
+        # step through the codes after `low` until one contains `mask`
+        mask, low = raw_code_of_index(mask_index), raw_code_of_index(low_index)
+        m = index_of_raw_code(low) + 1
+        while raw_code_of_index(m) & mask != mask:
+            m += 1
+        assert _next_superset(mask, low) == raw_code_of_index(m)
+
     def test_counts_match_group_products(self):
         # the closed form (w+1)!(k+1) against the product over groups
         for bits in range(200):
@@ -401,13 +440,15 @@ class TestCountingPath:
             else st.just([])
         without = set(data.draw(some_first))
         without |= set(data.draw(st.lists(st.integers(0, 120_960), max_size=20)))
-        within = None
+        within = members = None
         if restrict:  # a member set holding some of the first extensions
-            within = data.draw(st.lists(st.integers(0, 120_960), max_size=40))
-            within += data.draw(some_first)
+            members = set(data.draw(st.lists(st.integers(0, 120_960),
+                                             max_size=40)))
+            members |= set(data.draw(some_first))
+            within = FinSet.from_members(120_961, members)
         assert least_extension_index(probe, above, bound, within=within,
                                      without=without) == \
-            brute_least_extension(probe, above, bound, without, within)
+            brute_least_extension(probe, above, bound, without, members)
 
     @given(st.lists(st.integers(0, 120_959), max_size=60),
            st.integers(1, 40), st.integers(1, 120_960))
@@ -418,9 +459,9 @@ class TestCountingPath:
                         if brute_least_extension(nth_partial_fn(m), -1,
                                                  search_bound, set(),
                                                  set(members)) is None), None)
-        for given_members in (members, FinSet.from_members(120_960, members)):
-            rep = check_dense(given_members, probe_bound, search_bound)
-            assert (rep.ok, rep.missing_probe) == (missing is None, missing)
+        rep = check_dense(FinSet.from_members(120_960, members), probe_bound,
+                          search_bound)
+        assert (rep.ok, rep.missing_probe) == (missing is None, missing)
 
     def test_least_extension_none_cases(self):
         for probe_idx in (3, 40, 1439, 5000, 120_959):
@@ -436,3 +477,111 @@ class TestCountingPath:
         probe = PartialFn.from_entries([(3, 0, 0, 0)])
         assert probe.slots[-1] >= raw_code_of_index(120_960).bit_length()
         assert least_extension_index(probe, -1, 120_960) is None
+
+
+# --- pinned search results ----------------------------------------------------
+# Seeded searches of every shape the callers make, hashed.  The digests were
+# taken from the search that unranked its bound to find a top slot; the search
+# that derives its top from the probe and `above` must return the same values.
+
+def _pinned_probe(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return nth_partial_fn(rng.randrange(3000))
+    if kind == 1:
+        return nth_partial_fn(rng.randrange(10 ** rng.randint(4, 40)))
+    row = rng.choice((rng.randrange(4), rng.randrange(130)))
+    entry = (row, rng.randrange(4), rng.randrange(2), rng.randrange(4))
+    if kind == 2:
+        return PartialFn.from_entries([entry])
+    # a small function plus one echo entry in a far row, as a chain makes
+    small = nth_partial_fn(rng.randrange(3000))
+    return PartialFn.from_entries(list(small.entries)
+                                  + [(100 + row % 30, *entry[1:])])
+
+
+def _pinned_above(rng, bound):
+    return rng.choice((-1, rng.randrange(bound), bound - 1,
+                       bound + rng.randrange(bound)))
+
+
+def _pinned_bound(rng):
+    return rng.randrange(1, 10 ** rng.randint(1, 80) + 1)
+
+
+def _digest(results):
+    return hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+
+
+class TestSearchResultsPinned:
+    def test_least_extension_index(self):
+        # 4 000 searches: bounds 1..10^80, `above` on both sides of the
+        # bound, far-row probes; half inside a member set that holds the
+        # first extension and its neighbours, some excluding that extension
+        rng = random.Random(20261019)
+        results = []
+        for _ in range(4000):
+            probe, bound = _pinned_probe(rng), _pinned_bound(rng)
+            above = _pinned_above(rng, bound)
+            first = least_extension_index(probe, above, bound)
+            without = set(rng.sample(range(64), rng.randint(0, 8)))
+            if first is not None and rng.random() < 0.3:
+                without.add(first)
+            within = None
+            if rng.random() < 0.5:
+                near = [] if first is None or first >= 1 << 16 else \
+                    [first] + [min(first + d, (1 << 16) - 1)
+                               for d in rng.sample(range(1, 400), 6)]
+                within = FinSet.from_members(1 << 16, near + rng.sample(
+                    range(1 << 16), rng.randint(0, 30)))
+            results.append((first, least_extension_index(
+                probe, above, bound, within=within, without=without)))
+        assert sum(r is not None for pair in results for r in pair) == 1672
+        assert _digest(results) == (
+            "7b5c5578ed309d1c2dd977c878621fe5e6341adb1e8ce21f38a49644a1fb8631")
+
+    def test_check_dense(self):
+        # 300 checks over empty, sparse, dense random and full sets
+        rng = random.Random(20261020)
+        results = []
+        for _ in range(300):
+            n = rng.choice((64, 4096, 1 << 16))
+            members = rng.choice((
+                FinSet(n), FinSet(n, rng.getrandbits(n)), FinSet(n, (1 << n) - 1),
+                FinSet.from_members(n, rng.sample(range(n), rng.randint(1, 40)))))
+            search_bound = rng.choice((rng.randint(1, n), _pinned_bound(rng)))
+            results.append(check_dense(members, rng.randint(1, 24),
+                                       search_bound))
+        assert sum(rep.ok for rep in results) == 139
+        assert _digest(results) == (
+            "b56271472d3c899d37ab7fb3c134822172bc04259963ee130a5427c57dc18b7f")
+
+    def test_build_generic(self):
+        # 80 folds on grids of up to 130 rows, so that echo entries reach
+        # rows whose slots lie past SLOT_LIMIT
+        rng = random.Random(20261021)
+        results = []
+        for _ in range(80):
+            n = rng.choice((256, 4096, 1 << 16))
+            if rng.random() < 0.5:
+                family = bit_family(rng.randint(0, 3), n)
+            else:
+                family = Family(n, tuple(FinSet(n, rng.getrandbits(n))
+                                         for _ in range(rng.randint(0, 3))))
+            grid = TargetGrid.random(rng.randint(1, 130), rng.randint(1, 8),
+                                     rng.randint(1, 3), rng)
+            schedule = auto_schedule(len(family.sets), rng.randint(1, 4))
+            if rng.random() < 0.5:  # far probes put chain elements past 100
+                sides = [rng.choice(("pos", "neg", None)) for _ in family.sets]
+                spec = CombinationSpec(
+                    tuple(j for j, s in enumerate(sides) if s == "pos"),
+                    tuple(j for j, s in enumerate(sides) if s == "neg"))
+                schedule = [Demand(spec, rng.randrange(200), rng.choice((IN, OUT)))
+                            for _ in range(rng.randint(1, 6))]
+            run = build_generic([family], grid, schedule, rng.randint(1, n))
+            results.append((run.condition.elements,
+                            [(s.demand, s.witness) for s in run.steps],
+                            run.failure_kind, run.failure_detail))
+        assert sum(kind is None for _, _, kind, _ in results) == 7
+        assert _digest(results) == (
+            "035180a22a4c2487612e070767be1426fc9ef36f5d7df5ae0f75cec4050dc2ba")
