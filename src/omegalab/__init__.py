@@ -8,17 +8,16 @@ from .codec import (EMPTY_FN, PartialFn, cantor_pair, cantor_unpair,
                     least_extension_index, nth_partial_fn, partial_fn_index,
                     point_code, point_decode, raw_code_of_index, slot_decode)
 from .config import ExperimentConfig, child_seed
-from .diag import (CatchReport, LazyPermutation, MatchReport, PipelineReport,
-                   case_split, grid_fn_from_perm, matches, moved_within,
-                   run_pipeline, verify_catch)
+from .diag import (CatchReport, LazyPermutation, PipelineReport, case_split,
+                   grid_fn_from_perm, matches, moved_within, run_pipeline,
+                   verify_catch)
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
                      InducedMapNotPermutation, OmegalabError, SearchExhausted)
 from .extender import (AtomDecomposition, AtomShuffle, FamilyMap,
-                       HomogenizeParams, HomogenizeReport, PartialInjection,
-                       Permutation, ShuffleSearchReport, atoms_of,
-                       build_permutation, check_compatible,
-                       find_independent_shuffle, homogenize, orbit_closure,
-                       shuffle_sizes)
+                       HomogenizeReport, PartialInjection, Permutation,
+                       ShuffleSearchReport, atoms_of, build_permutation,
+                       check_compatible, find_independent_shuffle, homogenize,
+                       orbit_closure, shuffle_sizes)
 from .finset import (CombinationSpec, Family, FinSet, IndependenceReport,
                      SaturationReport, bit_family, boolean_combination,
                      combination_masks, combination_specs, count_combinations,

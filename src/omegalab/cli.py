@@ -24,13 +24,12 @@ from .extender import find_independent_shuffle, orbit_closure
 from .finset import bit_family, count_combinations, is_independent, is_saturated
 from .generic import (auto_schedule, build_generic, check_all_combos_dense,
                       is_condition)
-from .jsonio import (canonical_dumps, density_to_obj,
+from .jsonio import (canonical_dumps, demand_to_obj, density_to_obj,
                      extension_demand_from_obj, families_from_obj,
                      family_from_obj, family_to_obj, finset_from_obj,
                      grid_from_obj, independence_to_obj, partial_fn_from_obj,
                      partial_fn_to_obj, permutation_from_obj, read_json,
-                     run_to_obj, schedule_from_obj, schedule_to_obj,
-                     write_json)
+                     run_to_obj, schedule_from_obj, write_json)
 
 EX_OK = 0
 EX_VIOLATION = 1
@@ -191,7 +190,7 @@ def _cmd_build_generic(args) -> int:
     obj = {
         "universe": run.universe,
         "search_bound": run.search_bound,
-        "schedule": schedule_to_obj(schedule)["demands"],
+        "schedule": [demand_to_obj(d) for d in schedule],
         "A": list(run.condition.elements),
         "decided_below": run.decided_below,
         **run_to_obj(run),

@@ -88,23 +88,12 @@ def case_split(perm: PointPermutation, members: Iterable[int]
     return up, down
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    count: int
-    threshold: int
-    ok: bool
-
-
-def matches(fn: PartialFn, target: TargetGrid, threshold: int) -> MatchReport:
+def matches(fn: PartialFn, target: TargetGrid) -> int:
     """How many points of the target the partial function gets right; its
     points outside the target do not count."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    count = 0
-    for m, k, i, v in fn.entries:
-        if m < target.rows and k < target.cols and v == target.value_at(m, k, i):
-            count += 1
-    return MatchReport(count, threshold, count >= threshold)
+    return sum(1 for m, k, i, v in fn.entries
+               if m < target.rows and k < target.cols
+               and v == target.value_at(m, k, i))
 
 
 @dataclass(frozen=True)
@@ -304,7 +293,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         match_counts = []
         up_checked = down_checked = violations = 0
         for record in builds:
-            match_counts.append(matches(fn, record.grid, config.threshold).count)
+            match_counts.append(matches(fn, record.grid))
             catch = verify_catch(record.run.condition, perm)
             up_checked += len(catch.up_cases)
             down_checked += len(catch.down_cases)

@@ -336,6 +336,11 @@ def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
 
     Order: the original sets, then for each layer the forward images (family
     order) followed by the backward images.
+
+    Stops after the first layer ell that adds no set, which is exact: each
+    image pi^(+-ell)(A) then equals some pi^e(B) with |e| < ell, so each
+    image of layer ell + 1 is some pi^(e+-1)(B), of an exponent at most
+    ell, and already in the closure; by induction so is every later one.
     """
     if family.n != perm.n:
         raise ValueError("family and permutation disagree on the universe")
@@ -348,6 +353,7 @@ def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
     image_of = {"+": perm.apply_set, "-": perm.inverse_apply_set}
     fronts = {sign: family.sets for sign in image_of}
     for ell in range(1, layers + 1):
+        before = len(sets)
         for sign, image in image_of.items():  # forward first, then backward
             fronts[sign] = [image(s) for s in fronts[sign]]
             for j, s in enumerate(fronts[sign]):
@@ -355,6 +361,8 @@ def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
                     seen.add(s.mask)
                     sets.append(s)
                     labels.append(f"{base_labels[j]}{sign}{ell}")
+        if len(sets) == before:
+            break  # no later layer adds a set either
     return Family(family.n, tuple(sets), tuple(labels))
 
 
@@ -418,15 +426,6 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
 
 
 @dataclass(frozen=True)
-class HomogenizeParams:
-    threshold: int
-    depth: int
-    layers: int
-    budget: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class HomogenizeReport:
     steps: tuple[ShuffleSearchReport, ...]
     family: Family
@@ -439,15 +438,21 @@ class HomogenizeReport:
 
 def homogenize(family: Family,
                demands: Sequence[tuple[PartialInjection, FamilyMap]],
-               params: HomogenizeParams) -> HomogenizeReport:
+               threshold: int, depth: int, layers: int, budget: int,
+               seed: int) -> HomogenizeReport:
     """Work through extension demands in order, growing the family by each
-    successful closure; stops at the first demand whose search fails."""
+    successful closure; stops at the first demand whose search fails.
+
+    Demand idx runs find_independent_shuffle on the current family with the
+    given threshold, depth, layers and budget, seeded by child_seed(seed,
+    HOMOG_TAG, idx).
+    """
     current = family
     steps: list[ShuffleSearchReport] = []
     for idx, (f, g) in enumerate(demands):
         rep = find_independent_shuffle(
-            f, g, current, params.threshold, params.depth, params.layers,
-            params.budget, child_seed(params.seed, HOMOG_TAG, idx))
+            f, g, current, threshold, depth, layers, budget,
+            child_seed(seed, HOMOG_TAG, idx))
         steps.append(rep)
         if not rep.ok:
             return HomogenizeReport(tuple(steps), current, idx)

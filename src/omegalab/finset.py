@@ -90,13 +90,18 @@ class FinSet:
         ends at that member's byte, read as one integer at the end (ORing
         1 << x per member would copy the growing mask each time).  Every
         member is checked first: a negative one would index the buffer from
-        its end.
+        its end, and one at or past MAX_UNIVERSE would ask for a mask past
+        8 MiB, so it is refused before the buffer is made.
         """
         members = list(members)
         for x in members:
             if not 0 <= x < n:
                 raise ValueError(f"member {x} outside universe of size {n}")
-        buf = bytearray((max(members, default=-1) >> 3) + 1)
+        top = max(members, default=-1)
+        if top >= MAX_UNIVERSE:
+            raise ValueError(f"member {top} is past the cap of {MAX_UNIVERSE} "
+                             f"on a set's mask")
+        buf = bytearray((top >> 3) + 1)
         for x in members:
             buf[x >> 3] |= 1 << (x & 7)
         return cls(n, int.from_bytes(buf, "little"))
@@ -315,13 +320,6 @@ def _split_sizes(sizes: dict[int, int], t: int) -> list[int]:
     return split
 
 
-def _spec_tuples(t: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (pos, neg) of the split s of the index set t, as in _split_sizes
-    members = list(_iter_bits(t))
-    return (tuple(m for i, m in enumerate(members) if s >> i & 1),
-            tuple(m for i, m in enumerate(members) if not s >> i & 1))
-
-
 def _least_size(sizes: dict[int, int], depth: int) -> int:
     # only the index sets of exactly `depth` members need splitting: a
     # combination of lower depth is the disjoint union of its two extensions
@@ -343,20 +341,20 @@ def is_independent(family: Family, threshold: int, depth: int) -> IndependenceRe
     smallest = _least_size(sizes, depth)
     if smallest >= threshold:
         return IndependenceReport(True, None, smallest, threshold, depth)
-    # each index set's first failing split in pos order, then the least of
-    # these: (pos, neg) tuples compare in combination_specs order
-    in_pos_order = [sorted(range(1 << j), key=lambda s, j=j: [
-        i for i in range(j) if s >> i & 1]) for j in range(depth + 1)]
-    failing = []
-    for t in sizes:
-        split = _split_sizes(sizes, t)
-        s = next((s for s in in_pos_order[t.bit_count()]
-                  if split[s] < threshold), None)
-        if s is not None:
-            failing.append((_spec_tuples(t, s), split[s]))
-    spec, size = min(failing)
-    return IndependenceReport(False, CombinationSpec(*spec), size, threshold,
-                              depth)
+    # the least failing spec: walk combination_specs' order, each (pos, neg)
+    # read as split s of T = pos + neg, T's splits taken on first need
+    split_of: dict[int, list[int]] = {}
+    for _, pos, neg in _combinations([0] * len(family.sets), 0, depth):
+        members = sorted(pos + neg)
+        t = sum(1 << i for i in members)
+        if t not in split_of:
+            split_of[t] = _split_sizes(sizes, t)
+        size = split_of[t][sum(1 << k for k, i in enumerate(members)
+                               if i in pos)]
+        if size < threshold:
+            break  # reached: the least size is below the threshold
+    return IndependenceReport(False, CombinationSpec(pos, neg), size,
+                              threshold, depth)
 
 
 def min_combination_size(family: Family, depth: int) -> int:

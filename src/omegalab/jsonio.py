@@ -29,7 +29,10 @@ def write_json(path: str, obj: Any) -> None:
 
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _int_list(obj: Any, what: str) -> list[int]:
@@ -180,10 +183,6 @@ def demand_from_obj(obj: Any) -> Demand:
     spec = CombinationSpec(tuple(_int_list(obj["pos"], "pos")),
                            tuple(_int_list(obj["neg"], "neg")))
     return Demand(spec, probe, obj["polarity"])
-
-
-def schedule_to_obj(demands: Sequence[Demand]) -> dict[str, Any]:
-    return {"demands": [demand_to_obj(d) for d in demands]}
 
 
 def schedule_from_obj(obj: Any) -> tuple[Demand, ...]:

@@ -70,6 +70,14 @@ class TestRho:
         bad.write_text("{not json")
         assert run_cli("rho-index", str(bad)).returncode == 65
 
+    def test_deeply_nested_json_is_data_error(self, workdir):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000)
+        res = run_cli("check-indep", "--family", str(deep), "--t", "1")
+        assert res.returncode == 65
+        assert res.stderr.count("\n") == 1
+        assert "nested too deeply" in res.stderr
+
 
 class TestGenFamilyAndChecks:
     def test_family_contents(self, workdir):
@@ -442,6 +450,28 @@ class TestUniverseCap:
         write_json(str(cfg), dict(SMOKE_CONFIG, N=self.HUGE))
         self.assert_refused(run_cli_capped("diag-experiment", "--config",
                                            str(cfg)))
+
+    @pytest.mark.parametrize("n, member", [
+        (10 ** 30, 10 ** 29),    # the byte buffer's size overflows an index
+        (HUGE + 1, HUGE)])       # a 125 GB byte buffer
+    def test_set_member_past_the_cap(self, workdir, n, member):
+        s = workdir / "set.json"
+        write_json(str(s), {"N": n, "members": [0, member]})
+        eta = workdir / "eta.json"
+        write_json(str(eta), zero_grid_obj())
+        self.assert_refused(run_cli_capped("verify-starstar", "--set",
+                                           str(s), "--eta", str(eta)))
+
+    @pytest.mark.parametrize("n, member", [
+        (10 ** 30, 10 ** 29), (HUGE + 1, HUGE)])
+    def test_family_member_past_the_cap(self, workdir, n, member):
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [{"N": n, "sets": [[0, member]]}]})
+        eta = workdir / "eta.json"
+        write_json(str(eta), zero_grid_obj())
+        self.assert_refused(run_cli_capped(
+            "build-generic", "--families", str(fams), "--eta", str(eta),
+            "--demands", "auto:q=1", "--search-bound", "4096"))
 
     def test_diag_experiment_grid(self, workdir):
         # 2 * 10^10 grid values: refused before any is drawn, not after the

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab import diag, generic
-from omegalab.codec import (EMPTY_FN, PartialFn, count_functional_below,
-                            entry_slot, nth_partial_fn)
+from omegalab.codec import (PartialFn, count_functional_below, entry_slot,
+                            nth_partial_fn)
 from omegalab.config import ExperimentConfig, child_seed
 from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
@@ -75,7 +75,7 @@ class TestGridFnFromPerm:
         count = sum(1 for m in range(t_rows) for k in range(t_cols)
                     for i in (0, 1) if fn.value_at(m, k, i) is not None
                     and fn.value_at(m, k, i) == target.value_at(m, k, i))
-        assert matches(fn, target, 0).count == count
+        assert matches(fn, target) == count
 
     @pytest.mark.parametrize("m, layer", [(m, i) for m in range(3)
                                           for i in (0, 1)])
@@ -167,15 +167,9 @@ class TestMovedWithin:
 class TestMatches:
     def test_exact_counts(self):
         fn = grid_fn_from_perm(swap03(), 4, 4)
-        rep = matches(fn, ZERO_GRID, 2)
-        assert rep.count == 2 and rep.ok
-        assert not matches(fn, ZERO_GRID, 3).ok
+        assert matches(fn, ZERO_GRID) == 2
         ones = TargetGrid.constant(4, 4, 2, 1)
-        assert matches(fn, ones, 0).count == 0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            matches(EMPTY_FN, ZERO_GRID, -1)
+        assert matches(fn, ones) == 0
 
 
 class TestVerifyCatch:

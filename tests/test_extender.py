@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from omegalab import extender
 from omegalab.errors import (CardinalityMismatch, IncompatiblePair,
                              InducedMapNotPermutation)
-from omegalab.extender import (AtomShuffle, FamilyMap, HomogenizeParams,
-                               PartialInjection, Permutation, atoms_of,
+from omegalab.extender import (AtomShuffle, FamilyMap, PartialInjection,
+                               Permutation, atoms_of,
                                build_permutation, check_compatible,
                                find_independent_shuffle, homogenize,
                                orbit_closure, shuffle_sizes)
@@ -265,6 +265,52 @@ class TestOrbitClosure:
         direct = orbit_closure(fam, perm, 2 * layers)
         assert {s.mask for s in twice.sets} == {s.mask for s in direct.sets}
 
+    @staticmethod
+    def every_layer_closure(family, perm, layers):
+        # the closure built layer by layer to the end, with no early stop
+        sets, labels = list(family.sets), list(family.labels)
+        seen = {s.mask for s in sets}
+        fronts = {"+": family.sets, "-": family.sets}
+        for ell in range(1, layers + 1):
+            for sign, image in (("+", perm.apply_set),
+                                ("-", perm.inverse_apply_set)):
+                fronts[sign] = [image(s) for s in fronts[sign]]
+                for j, s in enumerate(fronts[sign]):
+                    if s.mask not in seen:
+                        seen.add(s.mask)
+                        sets.append(s)
+                        labels.append(f"{family.labels[j]}{sign}{ell}")
+        return Family(family.n, tuple(sets), tuple(labels))
+
+    @given(st.integers(0, 2 ** 31), st.integers(1, 12), st.integers(0, 3),
+           st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_early_stop_equals_every_layer(self, seed, n, k, layers):
+        rng = random.Random(seed)
+        images = list(range(n))
+        rng.shuffle(images)
+        perm = Permutation(n, tuple(images))
+        fam = Family.from_lists(n, [rng.sample(range(n), rng.randint(0, n))
+                                    for _ in range(k)],
+                                [f"s{j}" for j in range(k)])
+        assert orbit_closure(fam, perm, layers) == \
+            self.every_layer_closure(fam, perm, layers)
+
+    def test_layer_count_costs_nothing_past_the_orbit(self, monkeypatch):
+        # {0, 1, 2} under an 8-cycle: layers 1-4 add its 7 shifts, layer 5
+        # adds nothing and ends the closure, whatever layer count is asked
+        calls = []
+        for name in ("apply_set", "inverse_apply_set"):
+            real = getattr(Permutation, name)
+            monkeypatch.setattr(Permutation, name,
+                                lambda self, s, real=real:
+                                calls.append(1) or real(self, s))
+        cyc = Permutation(8, (1, 2, 3, 4, 5, 6, 7, 0))
+        closed = orbit_closure(Family.from_lists(8, [[0, 1, 2]]), cyc,
+                               10 ** 5)
+        assert len(closed.sets) == 8
+        assert len(calls) == 2 * 5
+
 
 class TestAtomShuffle:
     def test_validation(self):
@@ -382,19 +428,17 @@ class TestFindIndependentShuffle:
 
 
 class TestHomogenize:
-    PARAMS = HomogenizeParams(threshold=2, depth=2, layers=1, budget=30,
-                              seed=99)
-
     def test_no_demands_is_identity(self):
         fam = bit_family(2, 8)
-        rep = homogenize(fam, [], self.PARAMS)
+        rep = homogenize(fam, [], threshold=2, depth=2, layers=1, budget=30,
+                         seed=99)
         assert rep.ok and rep.steps == () and rep.family is fam
         assert rep.failed_at is None
 
     def test_trivial_demand_on_empty_family(self):
         fam = Family(4, ())
         rep = homogenize(fam, [(PartialInjection.empty(4), FamilyMap(()))],
-                         HomogenizeParams(2, 2, 1, 5, 1))
+                         2, 2, 1, 5, 1)
         assert rep.ok and len(rep.steps) == 1
         assert rep.family.sets == ()  # nothing to close over
 
@@ -404,7 +448,7 @@ class TestHomogenize:
             (PartialInjection.empty(32), SWAP01),
             (PartialInjection.empty(32), FamilyMap.from_dict({0: 0, 1: 1})),
         ]
-        rep = homogenize(fam, demands, HomogenizeParams(4, 2, 1, 30, 3))
+        rep = homogenize(fam, demands, 4, 2, 1, 30, 3)
         assert rep.ok and len(rep.steps) == 2 and rep.failed_at is None
         assert is_independent(rep.family, 4, 2).ok
         assert {s.mask for s in fam.sets} <= {s.mask for s in rep.family.sets}
@@ -415,9 +459,8 @@ class TestHomogenize:
             (PartialInjection.empty(8), SWAP01),
             (PartialInjection.empty(8), SWAP01),
         ]
-        params = HomogenizeParams(threshold=5, depth=2, layers=1, budget=4,
-                                  seed=2)
-        rep = homogenize(fam, demands, params)
+        rep = homogenize(fam, demands, threshold=5, depth=2, layers=1,
+                         budget=4, seed=2)
         assert not rep.ok
         assert rep.failed_at == 0 and len(rep.steps) == 1
         assert rep.family is fam  # untouched by the failed step

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import finset
 from omegalab.finset import (MAX_UNIVERSE, CombinationSpec, Family, FinSet,
                              IndependenceReport, bit_family,
                              boolean_combination, combination_masks,
@@ -178,6 +179,13 @@ class TestUniverseCap:
         fam = Family.from_lists(10 ** 40, [[0, 5], [1000]])
         assert fam.sets[1].to_list() == [1000]
 
+    @pytest.mark.parametrize("n, member", [
+        (MAX_UNIVERSE + 1, MAX_UNIVERSE), (10 ** 30, 10 ** 29)])
+    def test_member_past_the_cap_refused(self, n, member):
+        # its mask would pass 8 MiB: refused before any buffer is made
+        with pytest.raises(ValueError, match=f"member {member} is past the cap"):
+            FinSet.from_members(n, [0, member])
+
     def test_whole_universe_checks_refuse(self):
         fam = Family.from_lists(self.HUGE, [[0], [1]])
         for check in (lambda: is_independent(fam, 1, 2),
@@ -252,6 +260,18 @@ class TestIsIndependent:
             if len(spec.pos) + len(spec.neg) == k:
                 total += len(boolean_combination(family, spec))
         assert total == family.n
+
+    def test_failure_splits_each_index_set_once(self, monkeypatch):
+        # the least-size pass splits the 495 index sets of 4 members; the
+        # failing spec is then the empty one, whose index set is split once
+        calls = []
+        real = finset._split_sizes
+        monkeypatch.setattr(finset, "_split_sizes",
+                            lambda sizes, t: calls.append(t) or real(sizes, t))
+        n = 2 ** 14
+        rep = is_independent(bit_family(12, n), n + 1, 4)
+        assert rep == IndependenceReport(False, CombinationSpec(), n, n + 1, 4)
+        assert len(calls) <= 495 + 1
 
     def test_parameter_validation(self):
         fam = bit_family(2, 4)
