@@ -59,7 +59,10 @@ def _emit(obj: Any, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(canonical_dumps(obj))
     else:
-        write_json(out, obj)
+        try:
+            write_json(out, obj)
+        except FileNotFoundError as e:  # an output path, not a missing input
+            raise OSError(str(e)) from None
         _say(f"wrote {out}")
 
 

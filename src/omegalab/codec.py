@@ -21,8 +21,9 @@ top-down scan of the positions below a top taken from that code and the
 probe, plus one rank; the search bound is compared only with that rank.
 nth_partial_fn builds its function from the walk's (group, value) pairs
 without re-validating them: the walk yields a functional code by
-construction.  Density checks and searches within a member set merge the
-members with the probe's extensions in index order, so they decode no member.
+construction.  Density checks and searches within a member set read the
+set's mask once as bytes and leapfrog its members (each found by a C-level
+byte search) with the probe's extensions, so no member is decoded.
 `raw_code_of_index` reads its first 120 960 answers (every code with all
 slots below bit 30) from a sorted table built on first use, about 7 MB, so
 callers that scan many consecutive small indices pay O(1) per lookup; every
@@ -32,6 +33,7 @@ other lookup counts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
@@ -308,21 +310,11 @@ def check_dense(members: FinSet, probe_bound: int, search_bound: int) -> DenseRe
     """
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
-    # a member that is itself a probe below the search bound witnesses
-    # itself: walk the members below the cut in step with the probes.  A
-    # FinSet's walk copies its mask, so it walks only the bits below the
-    # cut, and no memory grows past the set's own, whatever the bounds
-    cut = min(probe_bound, search_bound)
-    own = FinSet(members.n, members.mask
-                 & ((1 << min(cut, members.mask.bit_length())) - 1))
-    walk = iter(own)
-    member = next(walk, None)
+    data = _member_bytes(members)
     for m in range(probe_bound):
-        while member is not None and member < m:
-            member = next(walk, None)
-        if member == m and m < search_bound:
+        if m < search_bound and _next_member(data, m) == m:
             continue  # a function extends itself
-        if _least_member_extension(nth_partial_fn(m), members, -1,
+        if _least_member_extension(nth_partial_fn(m), data, -1,
                                    search_bound, set()) is None:
             return DenseReport(False, m, probe_bound, search_bound)
     return DenseReport(True, None, probe_bound, search_bound)
@@ -339,10 +331,9 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
     excluded = set(without)
-
     if within is not None:
-        return _least_member_extension(probe, within, above, search_bound,
-                                       excluded)
+        return _least_member_extension(probe, _member_bytes(within), above,
+                                       search_bound, excluded)
     return _least_extension(probe, above, search_bound, excluded)
 
 
@@ -372,23 +363,43 @@ def _least_extension(probe: PartialFn, above: int, search_bound: int,
     return None
 
 
-def _least_member_extension(probe: PartialFn, members: FinSet,
+def _least_member_extension(probe: PartialFn, data: bytes,
                             above: int, search_bound: int,
                             excluded: set[int]) -> Optional[int]:
-    """Least n of `members`, above < n < search_bound and not excluded,
-    whose function extends `probe`.  Merges the members with the probe's
-    extensions in index order, so no member is decoded: each step of the
-    extensions is one counting search, to the least one at or past the
-    current member."""
+    """Least member n of `data` (a set's `_member_bytes`), above < n <
+    search_bound and not excluded, whose function extends `probe`.  A
+    leapfrog: from extension e to the least member n >= e, and from n != e
+    to the least extension >= n by one counting search."""
     e = _least_extension(probe, above, search_bound, excluded)
-    for n in members:
-        if e is not None and n > e:
-            e = _least_extension(probe, n - 1, search_bound, excluded)
-        if e is None:
-            return None
-        if n == e:
+    while e is not None:
+        n = _next_member(data, e)
+        if n is None or n == e:
             return n
+        e = _least_extension(probe, n - 1, search_bound, excluded)
     return None
+
+
+def _member_bytes(members: FinSet) -> bytes:
+    return members.mask.to_bytes((members.mask.bit_length() + 7) // 8, "little")
+
+
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
+def _next_member(data: bytes, x: int) -> Optional[int]:
+    """Least member at or past x >= 0 of `data`, where member x is bit x & 7
+    of byte x >> 3: x's own byte, then the next nonzero byte by one C-level
+    search that copies nothing."""
+    i = x >> 3
+    if i >= len(data):  # also keeps a huge x away from re's offset
+        return None
+    byte = data[i] >> (x & 7) << (x & 7)
+    if not byte:
+        found = _NONZERO_BYTE.search(data, i + 1)
+        if found is None:
+            return None
+        i, byte = found.start(), found[0][0]
+    return (i << 3) + (byte & -byte).bit_length() - 1
 
 
 def _next_superset(mask: int, low: int) -> int:

@@ -271,15 +271,13 @@ def run_pipeline(config: ExperimentConfig) -> PipelineReport:
         grid = TargetGrid.random(
             config.rows, config.cols, config.value_bound,
             random.Random(child_seed(config.seed, GRID_TAG, alpha)))
-        prior = Family(n, tuple(built_sets),
-                       tuple(f"A{j}" for j in range(len(built_sets))))
+        prior = Family(n, tuple(built_sets))
         schedule = auto_schedule(len(built_sets), config.probes)
         run = build_generic([prior], grid, schedule, config.search_bound)
         builds.append(BuildRecord(alpha, run))
         built_sets.append(run.result_set)
 
-    joint = Family(n, tuple(built_sets),
-                   tuple(f"A{j}" for j in range(len(built_sets))))
+    joint = Family(n, tuple(built_sets))
     depth = min(config.depth, len(joint.sets))
     independence = is_independent(joint, config.threshold, depth)
     density = check_all_combos_dense([joint], config.probe_bound,

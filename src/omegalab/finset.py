@@ -54,17 +54,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    # byte-at-a-time keeps this linear even for million-bit masks
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for byte_index, byte in enumerate(data):
-        base = byte_index << 3
-        while byte:
-            low = byte & -byte
-            yield base + low.bit_length() - 1
-            byte ^= low
-
-
 # the base-2 digit characters "0" and "1" as the bytes 0 and 1
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -107,10 +96,7 @@ class FinSet:
         return cls(n, int.from_bytes(buf, "little"))
 
     def __iter__(self) -> Iterator[int]:
-        # lazy on purpose: callers such as codec.check_dense stop after a
-        # few members of a 2^20-point set, and listing it whole each time
-        # made the bench's pipeline about 3x slower
-        return _iter_bits(self.mask)
+        return iter(self.to_list())
 
     def to_list(self) -> list[int]:
         """The members in ascending order, in one C-level pass: the mask's
@@ -150,6 +136,15 @@ class Family:
 
     def __len__(self) -> int:
         return len(self.sets)
+
+    def sets_at(self, indices: Sequence[int]) -> list[FinSet]:
+        """The sets at the given indices, refusing any out of range."""
+        count = len(self.sets)
+        for idx in indices:
+            if not 0 <= idx < count:
+                raise ValueError(f"index {idx} out of range for family of "
+                                 f"{count} sets")
+        return [self.sets[idx] for idx in indices]
 
 
 @dataclass(frozen=True)
@@ -193,15 +188,12 @@ def boolean_combination(family: Family, spec: CombinationSpec) -> FinSet:
 
     The empty spec yields the full universe.
     """
-    count = len(family.sets)
-    for idx in spec.pos + spec.neg:
-        if not 0 <= idx < count:
-            raise ValueError(f"index {idx} out of range for family of {count} sets")
+    pos, neg = family.sets_at(spec.pos), family.sets_at(spec.neg)
     mask = full_mask(family.n)
-    for idx in spec.pos:
-        mask &= family.sets[idx].mask
-    for idx in spec.neg:
-        mask &= ~family.sets[idx].mask
+    for s in pos:
+        mask &= s.mask
+    for s in neg:
+        mask &= ~s.mask
     return FinSet(family.n, mask)
 
 

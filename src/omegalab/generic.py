@@ -211,12 +211,7 @@ def _demand_search_sets(spec: CombinationSpec, merged: Family
     any set enters positively, else an exclusion set."""
     if spec.pos:
         return boolean_combination(merged, spec), set()
-    excluded: set[int] = set()
-    for idx in spec.neg:
-        if not 0 <= idx < len(merged.sets):
-            raise ValueError(f"index {idx} out of range for merged family")
-        excluded.update(merged.sets[idx])
-    return None, excluded
+    return None, set().union(*merged.sets_at(spec.neg))
 
 
 def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],

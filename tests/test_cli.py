@@ -2,7 +2,8 @@
 
 Nearly everything here runs `python -m omegalab ...` exactly as a user
 would, and pins the documented exit statuses: 0 pass, 1 violation,
-2 degraded, 64 usage, 65 bad data, 66 missing input, 70 internal error.
+2 degraded, 64 usage, 65 bad data, 66 missing input, 70 internal error,
+74 other I/O failure.
 """
 
 import hashlib
@@ -124,6 +125,18 @@ class TestGenFamilyAndChecks:
         res = run_cli("check-indep", "--family", "/nonexistent/f.json",
                       "--t", "2")
         assert res.returncode == 66
+
+    def test_out_path_in_missing_directory_is_io_error(self, workdir):
+        # the input is there; the output cannot be written
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": 8, "sets": [[1]]})
+        out = workdir / "missing" / "x.json"
+        res = run_cli("check-indep", "--family", str(fam), "--t", "1",
+                      "--out", str(out))
+        assert res.returncode == 74
+        assert res.stderr.startswith("io error: ")
+        assert res.stderr.count("\n") == 1 and str(out) in res.stderr
+        assert res.stdout == ""
 
 
 class TestExtendPerm:
@@ -263,6 +276,24 @@ class TestBuildGeneric:
         assert res.returncode == 65
         assert res.stdout == ""
         assert "search bound cannot exceed the universe size" in res.stderr
+
+    @pytest.mark.parametrize("pos, neg", [([], [5]), ([0], [5]), ([5], [])])
+    def test_spec_index_out_of_range_one_message(self, workdir, pos, neg):
+        # neg-only demands search by exclusion, not by the combination's
+        # set, and are checked by the same index check
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [{"N": 64, "sets": [[1, 2], [3]]}]})
+        eta = workdir / "eta.json"
+        write_json(str(eta), zero_grid_obj())
+        sched = workdir / "sched.json"
+        write_json(str(sched), {"demands": [
+            {"pos": pos, "neg": neg, "probe": 0, "polarity": "in"}]})
+        res = run_cli("build-generic", "--families", str(fams), "--eta",
+                      str(eta), "--demands", str(sched),
+                      "--search-bound", "64")
+        assert res.returncode == 65
+        assert res.stderr == ("invalid data: index 5 out of range for "
+                              "family of 2 sets\n")
 
     def test_malformed_auto_spec(self, workdir):
         fams, eta = self.write_common(workdir)

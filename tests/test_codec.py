@@ -5,13 +5,16 @@ import resource
 import subprocess
 import sys
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegalab import codec
 from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
-                            _next_superset, _unrank, cantor_pair,
+                            _member_bytes, _next_member, _next_superset,
+                            _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
                             index_of_raw_code, is_functional_raw,
@@ -477,6 +480,97 @@ class TestCountingPath:
         probe = PartialFn.from_entries([(3, 0, 0, 0)])
         assert probe.slots[-1] >= raw_code_of_index(120_960).bit_length()
         assert least_extension_index(probe, -1, 120_960) is None
+
+
+def merge_least_member_extension(probe, members, above, bound, excluded):
+    """The member-by-member merge that the leapfrog replaced, as an oracle:
+    from the first member on, each member past the current extension asks
+    for the least extension at or past it."""
+    e = codec._least_extension(probe, above, bound, excluded)
+    for n in members.to_list():
+        if e is not None and n > e:
+            e = codec._least_extension(probe, n - 1, bound, excluded)
+        if e is None:
+            return None
+        if n == e:
+            return n
+    return None
+
+
+def _bits_of(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+class TestMemberSearch:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_next_member_against_bit_scan(self, data):
+        # sparse sets have zero runs of many bytes, dense ones have none
+        members = data.draw(st.one_of(
+            st.lists(st.integers(0, 500), max_size=6),
+            st.integers(0, (1 << 501) - 1).map(_bits_of)))
+        mask = sum(1 << x for x in set(members))
+        view = _member_bytes(FinSet(501, mask))
+        # inside a byte, on a member, just past one, across runs, and far
+        # past the data, where the byte offset must not reach re
+        near = [max(m + d, 0) for m in members for d in (-9, -1, 0, 1, 5, 8)]
+        x = data.draw(st.one_of(st.integers(0, 520),
+                                st.sampled_from(near or [0]),
+                                st.integers(len(view) * 8, 10 ** 30)))
+        assert _next_member(view, x) == next(
+            (y for y in range(x, mask.bit_length()) if mask >> y & 1), None)
+
+    def test_next_member_far_past_the_data(self):
+        assert _next_member(b"", 0) is None
+        assert _next_member(b"\x80", 7) == 7
+        assert _next_member(b"\x80", 8) is None
+        assert _next_member(b"\x01" + bytes(9) + b"\x02", 1) == 81
+        assert _next_member(b"\x01" + bytes(9), 10 ** 30) is None
+
+    @given(st.integers(0, 3000), st.integers(-1, 70_000),
+           st.integers(1, 10 ** 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_leapfrog_equals_member_merge(self, probe_idx, above, bound, data):
+        # the same answer from the same counting searches, in the same order
+        probe = nth_partial_fn(probe_idx)
+        n = 1 << 16
+        first = least_extension_index(probe, above, bound)
+        near = [] if first is None or first >= n else \
+            [min(first + d, n - 1) for d in (0, 1, 2, 50, 400)]
+        members = FinSet.from_members(n, near + data.draw(st.one_of(
+            st.lists(st.integers(0, n - 1), max_size=40),
+            st.integers(0, n - 1).map(lambda lo: list(range(lo, n, 3))))))
+        excluded = set(data.draw(st.lists(st.sampled_from(near or [0]),
+                                          max_size=3)))
+        with mock.patch.object(codec, "_least_extension",
+                               wraps=codec._least_extension) as spy:
+            got = codec._least_member_extension(
+                probe, _member_bytes(members), above, bound, excluded)
+            leapfrog_calls = list(spy.call_args_list)
+            spy.reset_mock()
+            expected = merge_least_member_extension(probe, members, above,
+                                                    bound, excluded)
+            assert got == expected
+            assert leapfrog_calls == spy.call_args_list
+
+    def test_searches_never_iterate_a_finset(self, monkeypatch):
+        # both searches read the mask's bytes once; listing or walking a
+        # 2^20-point set per probe is what they must not do
+        n = 1 << 20
+        dense = FinSet(n, ((1 << n) - 1) & ~0b10110)
+        sparse = FinSet.from_members(n, [9, 40, 41, 700, n - 1])
+        probe = nth_partial_fn(40)
+
+        def searches():
+            return [check_dense(s, 16, n) for s in (dense, sparse)] + [
+                least_extension_index(probe, above, n, within=s)
+                for s in (dense, sparse) for above in (-1, 40, 5000)]
+
+        def refuse(self):
+            raise AssertionError("a search iterated a FinSet")
+        expected = searches()
+        monkeypatch.setattr(FinSet, "__iter__", refuse)
+        assert searches() == expected
 
 
 # --- pinned search results ----------------------------------------------------

@@ -8,7 +8,7 @@ from omegalab import generic
 from omegalab.codec import (PartialFn, check_dense, index_of_raw_code,
                             nth_partial_fn)
 from omegalab.errors import GridOverflow, SearchExhausted
-from omegalab.finset import (CombinationSpec, Family, FinSet,
+from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              boolean_combination, combination_specs)
 from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                               GenericRun, TargetGrid, auto_schedule,
@@ -278,6 +278,13 @@ class TestCheckAllCombosDense:
         assert isinstance(rep, ComboDensityReport)
         assert rep.ok == (rep.failing_spec is None)
 
+    def test_complement_shape_at_two_to_the_twenty(self):
+        # the README's verify-star scale: the complement of bit 0 is the
+        # first combination to miss a probe, probe 3
+        n = 1 << 20
+        rep = check_all_combos_dense([bit_family(4, n)], 16, n)
+        assert rep == ComboDensityReport(False, CombinationSpec(neg=(0,)), 3,
+                                         16, n)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
