@@ -16,9 +16,11 @@ positions below its answer's top slot once, keeping that product with one
 exact division and multiplication per position: O(bits) big-integer steps.
 Ranking a code of k entries takes k closed-form counts, each divided by the
 factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
-The least extension of a probe past a code is built digit by digit in one
-top-down scan of the positions below a top taken from that code and the
-probe, plus one rank; the search bound is compared only with that rank.
+The least extension of a probe past an index is found in one top-down pass
+that walks the index's digits as unranking does and picks the answer's
+deviation position in the same step; its rank is the index less the walk's
+remainder there, plus the closed-form counts of the few slots below it.  The
+search bound is compared only with that rank.
 nth_partial_fn builds its function from the walk's (group, value) pairs
 without re-validating them: the walk yields a functional code by
 construction.  Density checks and searches within a member set read the
@@ -27,7 +29,7 @@ byte search) with the probe's extensions, so no member is decoded.
 `raw_code_of_index` reads its first 120 960 answers (every code with all
 slots below bit 30) from a sorted table built on first use, about 7 MB, so
 callers that scan many consecutive small indices pay O(1) per lookup; every
-other lookup counts.
+other lookup counts.  Only callers outside the engine build the table.
 """
 
 from __future__ import annotations
@@ -160,17 +162,28 @@ def _diagonal(bound: int) -> tuple[int, int]:
     return w, bound - w * (w + 1) // 2
 
 
-def _group_counts(bit_bound: int) -> list[int]:
-    """Slots below bit_bound of each group g = 0, 1, ... that has any: one
-    per full diagonal from g up, one more if g is in w, w-1, ..., w-k+1."""
-    w, k = _diagonal(bit_bound)
-    return [w - g + (g > w - k) for g in range(w + (k > 0))]
+def _group_counts(w: int, k: int) -> list[int]:
+    """Slots below the bound w(w+1)/2 + k, 0 <= k <= w + 1, of each group
+    g = 0, 1, ..., w: one per full diagonal from g up, one more if g is in
+    w, w-1, ..., w-k+1."""
+    return [*range(w, k - 1, -1), *range(k, 0, -1)]
 
 
 def count_functional_below(bit_bound: int) -> int:
     """Functional raw codes whose slots all lie below bit_bound."""
     w, k = _diagonal(max(bit_bound, 0))
     return math.factorial(w + 1) * (k + 1)
+
+
+def _walk_start(m: int) -> tuple[int, list[int], int]:
+    """(p, counts, total) before the walk of the m-th code, m >= 0: p is the
+    least bound whose count exceeds m, which is the code's bit length."""
+    w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
+    while f * (w + 2) <= m:
+        w += 1
+        f *= w + 1
+    k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
+    return w * (w + 1) // 2 + k, _group_counts(w, k), f * (k + 1)
 
 
 def _unrank_walk(m: int) -> list[tuple[int, int, int]]:
@@ -181,13 +194,8 @@ def _unrank_walk(m: int) -> list[tuple[int, int, int]]:
     of that product."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
-    while f * (w + 2) <= m:
-        w += 1
-        f *= w + 1
-    k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
-    p = w * (w + 1) // 2 + k
-    counts, total, slots = _group_counts(p), f * (k + 1), []
+    p, counts, total = _walk_start(m)
+    slots = []
     g, v = cantor_unpair(p)  # the slot one above the walk's first position
     while m:
         p -= 1
@@ -221,7 +229,7 @@ _SEGMENT_BITS = 30
 
 def _build_cache(bits: int) -> list[int]:
     values = [0]
-    for q, count in enumerate(_group_counts(bits)):
+    for q, count in enumerate(_group_counts(*_diagonal(bits))):
         opts = [0] + [1 << cantor_pair(q, v) for v in range(count)]
         values = [base + o for base in values for o in opts]
     values.sort()
@@ -260,8 +268,13 @@ def index_of_raw_code(raw: int) -> int:
         raise ValueError(
             f"raw code has a slot beyond {SLOT_LIMIT}; its index is "
             "astronomically large and not representable here")
+    return _rank_below(raw, [])
+
+
+def _rank_below(raw: int, used: list[int]) -> int:
+    """index_of_raw_code's sum over raw's slots, top down, when the groups in
+    `used` (extended in place) are already taken by slots above them all."""
     total = 0
-    used: list[int] = []
     while raw:
         s = raw.bit_length() - 1
         raw ^= 1 << s
@@ -340,6 +353,8 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
 def _least_extension(probe: PartialFn, above: int, search_bound: int,
                      excluded: set[int]) -> Optional[int]:
     """The search of least_extension_index without a member set."""
+    if above >= search_bound - 1:
+        return None  # no index lies strictly between the two
     if not probe.entries:
         n = above + 1 if above >= 0 else 0
         while n in excluded:
@@ -353,14 +368,62 @@ def _least_extension(probe: PartialFn, above: int, search_bound: int,
     if (_diagonal(s)[0] >= search_bound.bit_length()
             or count_functional_below(s) >= search_bound):
         return None
+    n = _next_extension(probe, above)
+    while n < search_bound and n in excluded:
+        n = _next_extension(probe, n)
+    return n if n < search_bound else None
+
+
+def _next_extension(probe: PartialFn, above: int) -> int:
+    """Index of the least code past the `above`-th code `low` that holds the
+    probe's code `mask`, by one top-down walk of `low`'s digits.
+
+    The answer agrees with `low` above the lowest admissible position p,
+    sets p, and below p holds only mask's slots.  p is admissible when `low`
+    has it clear and its group is used neither by `low` above p (`counts` 0)
+    nor by mask below p (`rest`); the first position at or past `low`'s bit
+    length whose group is not in `rest` is.  The walk stops at the first
+    slot of mask that `low` lacks, or at a slot of `low` whose group mask
+    uses lower down.  The walk's remainder r at p counts the codes below
+    `low` that agree with it above p, so the answer ranks at above - r plus
+    the counts of p and of mask's slots below it.
+    """
     mask = probe.raw_code
-    candidate = (mask if above < 0
-                 else _next_superset(mask, raw_code_of_index(above)))
-    while (n := index_of_raw_code(candidate)) < search_bound:
-        if n not in excluded:
-            return n
-        candidate = _next_superset(mask, candidate)
-    return None
+    if above < 0:
+        return _rank_below(mask, [])
+    top, counts, total = _walk_start(above)
+    if probe.slots[-1] >= top:  # mask lies above `low`: it is the answer
+        return _rank_below(mask, [])
+    rest = {_slot_group(s) for s in probe.slots}
+    best = top
+    while _slot_group(best) in rest:
+        best += 1
+    r, m, kept, used = above, above, [], 0
+    g, v = cantor_unpair(top)
+    for p in range(top - 1, -1, -1):
+        g, v = (g + 1, v - 1) if v else (0, g - 1)
+        in_mask = mask >> p & 1
+        if in_mask:
+            rest.discard(g)
+        # a free group counts p itself, also once the walk (m) has ended
+        c = counts[g]
+        if c and m:
+            total = total // (c + 1) * c
+            if m >= total:  # `low` holds slot p
+                m -= total
+                total //= c
+                counts[g] = 0
+                if g in rest:
+                    break
+                kept.append(g)
+                continue
+            counts[g] = c - 1
+        if c and (in_mask or g not in rest):
+            best, r, used = p, m, len(kept)
+        if in_mask:
+            break
+    bit = 1 << best
+    return above - r + _rank_below(bit | (mask & (bit - 1)), kept[:used])
 
 
 def _least_member_extension(probe: PartialFn, data: bytes,
@@ -400,38 +463,3 @@ def _next_member(data: bytes, x: int) -> Optional[int]:
             return None
         i, byte = found.start(), found[0][0]
     return (i << 3) + (byte & -byte).bit_length() - 1
-
-
-def _next_superset(mask: int, low: int) -> int:
-    """Least functional raw code above the functional code `low` that
-    contains the functional code `mask`.
-
-    Such a code agrees with `low` above some position p, sets bit p where
-    `low` has it clear, and at its least holds only mask's slots below p; a
-    lower admissible p gives a smaller code.  p cannot lie below mask's top
-    slot missing from `low`.  The scan starts at the first position q at or
-    above both codes' bit lengths whose group holds no slot of mask.  q is
-    admissible, as (1 << q) | mask is functional and lies above low: so the
-    scan always finds a p, and no p above q gives a smaller code.  `kept`
-    holds the groups of low's slots above p, and `rest` those of mask's
-    slots below p.
-    """
-    kept: set[int] = set()
-    rest = {_slot_group(s) for s in range(mask.bit_length()) if mask >> s & 1}
-    q = max(low.bit_length(), mask.bit_length())
-    while _slot_group(q) in rest:
-        q += 1
-    g, v = cantor_unpair(q + 1)
-    for p in range(q, max((mask & ~low).bit_length() - 1, 0) - 1, -1):
-        g, v = (g + 1, v - 1) if v else (0, g - 1)  # the group of slot p
-        in_mask, in_low = mask >> p & 1, low >> p & 1
-        if in_mask:
-            rest.discard(g)
-        if not (in_low or g in kept or (g in rest and not in_mask)):
-            best = p
-        if in_low:
-            if g in rest:
-                break  # every lower p keeps this slot and mask's of group g
-            kept.add(g)
-    bit = 1 << best
-    return (low & -(bit << 1)) | bit | (mask & (bit - 1))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from omegalab import codec
 from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
-                            _member_bytes, _next_member, _next_superset,
+                            _member_bytes, _next_member, _slot_group,
                             _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
@@ -357,6 +357,26 @@ class TestLeastExtensionIndex:
         assert least_extension_index(probe, 0, 2) == 1
         assert least_extension_index(probe, 1, 2) is None
 
+    def test_engine_never_builds_the_table(self):
+        # in a fresh process, a small pipeline and two searches whose
+        # `above` lies in the table's range leave the table unbuilt
+        searches = [(3, 500, 2 ** 20), (5, 29_984, 2 ** 40)]
+        code = ("from omegalab import codec\n"
+                "from omegalab.config import ExperimentConfig\n"
+                "from omegalab.diag import run_pipeline\n"
+                "run_pipeline(ExperimentConfig(2, 4096, 8, 8, 1, 2, 2, 2, 2,"
+                " 4096, 5, 7))\n"
+                f"for m, above, bound in {searches!r}:\n"
+                "    print(codec.least_extension_index(codec.nth_partial_fn(m),"
+                " above, bound))\n"
+                "print(codec._segment.cache_info().currsize)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        expected = [least_extension_index(nth_partial_fn(m), above, bound)
+                    for m, above, bound in searches]
+        assert res.stdout.split() == [str(n) for n in expected] + ["0"]
+
     def test_agrees_with_linear_scan(self):
         for probe_idx in range(8):
             probe = nth_partial_fn(probe_idx)
@@ -372,6 +392,58 @@ class TestLeastExtensionIndex:
 # every group's choices, not by counting, and serves as the brute-force oracle.
 
 TABLE_30 = _build_cache(30)  # every functional code with slots below 30
+
+
+def _next_superset(mask: int, low: int) -> int:
+    """Least functional raw code above the functional code `low` that
+    contains the functional code `mask`.
+
+    Such a code agrees with `low` above some position p, sets bit p where
+    `low` has it clear, and at its least holds only mask's slots below p; a
+    lower admissible p gives a smaller code.  p cannot lie below mask's top
+    slot missing from `low`.  The scan starts at the first position q at or
+    above both codes' bit lengths whose group holds no slot of mask.  q is
+    admissible, as (1 << q) | mask is functional and lies above low: so the
+    scan always finds a p, and no p above q gives a smaller code.  `kept`
+    holds the groups of low's slots above p, and `rest` those of mask's
+    slots below p.
+    """
+    kept: set[int] = set()
+    rest = {_slot_group(s) for s in range(mask.bit_length()) if mask >> s & 1}
+    q = max(low.bit_length(), mask.bit_length())
+    while _slot_group(q) in rest:
+        q += 1
+    g, v = cantor_unpair(q + 1)
+    for p in range(q, max((mask & ~low).bit_length() - 1, 0) - 1, -1):
+        g, v = (g + 1, v - 1) if v else (0, g - 1)  # the group of slot p
+        in_mask, in_low = mask >> p & 1, low >> p & 1
+        if in_mask:
+            rest.discard(g)
+        if not (in_low or g in kept or (g in rest and not in_mask)):
+            best = p
+        if in_low:
+            if g in rest:
+                break  # every lower p keeps this slot and mask's of group g
+            kept.add(g)
+    bit = 1 << best
+    return (low & -(bit << 1)) | bit | (mask & (bit - 1))
+
+
+def superset_least_extension(probe, above, bound, excluded):
+    """The raw-code search that the one-pass search replaced, as an oracle:
+    unrank `above`, step through the next supersets of the probe's code
+    and rank each one."""
+    s = probe.slots[-1]
+    # every extension holds slot s, so it ranks at C(s) or later
+    if s > SLOT_LIMIT or count_functional_below(s) >= bound:
+        return None
+    mask = probe.raw_code
+    code = mask if above < 0 else _next_superset(mask, raw_code_of_index(above))
+    while (n := index_of_raw_code(code)) < bound:
+        if n not in excluded:
+            return n
+        code = _next_superset(mask, code)
+    return None
 
 
 def brute_least_extension(probe, above, bound, without, within=None):
@@ -417,6 +489,48 @@ class TestCountingPath:
         while raw_code_of_index(m) & mask != mask:
             m += 1
         assert _next_superset(mask, low) == raw_code_of_index(m)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_pass_search_against_superset_steps(self, data):
+        # far-row probes, `above` on both sides of the table's end, bounds
+        # up to 10^80, and exclusions of the first one or two answers
+        probe = data.draw(st.one_of(
+            st.integers(1, 3000).map(nth_partial_fn),
+            st.integers(1, 10 ** 30).map(nth_partial_fn),
+            st.tuples(st.one_of(st.integers(0, 4), st.integers(0, 130)),
+                      st.integers(0, 4), st.integers(0, 1),
+                      st.integers(0, 4)).map(
+                lambda e: PartialFn.from_entries([e]))))
+        above = data.draw(st.one_of(st.integers(-1, 3), st.integers(-1, 120_960),
+                                    st.integers(120_000, 200_000),
+                                    st.integers(-1, 10 ** 40)))
+        bound = data.draw(st.one_of(
+            st.integers(1, 1 << 20), st.integers(1, 10 ** 80),
+            st.integers(2, 10 ** 6).map(lambda d: max(above + d, 1)),
+            st.integers(2, 10 ** 40).map(lambda d: max(above + d, 1))))
+        if probe.slots[-1] < 2000:  # the pass alone, whatever the bound
+            mask = probe.raw_code
+            code = mask if above < 0 else \
+                _next_superset(mask, raw_code_of_index(above))
+            assert codec._next_extension(probe, above) == index_of_raw_code(code)
+        excluded = set(data.draw(st.lists(st.integers(0, 1 << 20), max_size=4)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            first = superset_least_extension(probe, above, bound, excluded)
+            if first is not None:
+                excluded.add(first)
+        assert codec._least_extension(probe, above, bound, excluded) == \
+            superset_least_extension(probe, above, bound, excluded)
+
+    def test_no_pass_when_nothing_lies_between(self):
+        # above >= bound - 1 leaves no index strictly between the two
+        with mock.patch.object(codec, "_next_extension",
+                               wraps=codec._next_extension) as spy:
+            assert least_extension_index(nth_partial_fn(3), 10 ** 80, 10) is None
+            assert least_extension_index(nth_partial_fn(3), 9, 10) is None
+            assert spy.call_count == 0
+            assert least_extension_index(nth_partial_fn(3), 8, 10) == 9
+            assert spy.call_count == 1
 
     def test_counts_match_group_products(self):
         # the closed form (w+1)!(k+1) against the product over groups
