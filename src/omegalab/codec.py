@@ -23,9 +23,11 @@ remainder there, plus the closed-form counts of the few slots below it.  The
 search bound is compared only with that rank.
 nth_partial_fn builds its function from the walk's (group, value) pairs
 without re-validating them: the walk yields a functional code by
-construction.  Density checks and searches within a member set read the
-set's mask once as bytes and leapfrog its members (each found by a C-level
-byte search) with the probe's extensions, so no member is decoded.
+construction.  Every search runs within a member mask: it reads the mask
+once as its signed little-endian bytes and leapfrogs its members (each
+found by a C-level byte search) with the probe's extensions, so no member
+is decoded.  A negative mask is co-finite: past its bytes every index is a
+member, so -1 (the default) is every index and ~U every index outside U.
 `raw_code_of_index` reads its first 120 960 answers (every code with all
 slots below bit 30) from a sorted table built on first use, about 7 MB, so
 callers that scan many consecutive small indices pay O(1) per lookup; every
@@ -68,12 +70,6 @@ def point_decode(code: int) -> tuple[int, int, int]:
 
 def entry_slot(a: int, b: int, i: int, value: int) -> int:
     return cantor_pair(point_code(a, b, i), value)
-
-
-def slot_decode(slot: int) -> tuple[int, int, int, int]:
-    code, value = cantor_unpair(slot)
-    a, b, i = point_decode(code)
-    return a, b, i, value
 
 
 def _slot_group(slot: int) -> int:
@@ -137,20 +133,6 @@ class PartialFn:
 
 
 EMPTY_FN = PartialFn(())
-
-
-def is_functional_raw(raw: int) -> bool:
-    if raw < 0:
-        raise ValueError("raw codes are non-negative")
-    seen = set()
-    while raw:
-        low = raw & -raw
-        g = _slot_group(low.bit_length() - 1)
-        if g in seen:
-            return False
-        seen.add(g)
-        raw ^= low
-    return True
 
 
 # --- counting machinery -----------------------------------------------------
@@ -323,7 +305,7 @@ def check_dense(members: FinSet, probe_bound: int, search_bound: int) -> DenseRe
     """
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
-    data = _member_bytes(members)
+    data = _member_bytes(members.mask)
     for m in range(probe_bound):
         if m < search_bound and _next_member(data, m) == m:
             continue  # a function extends itself
@@ -334,25 +316,24 @@ def check_dense(members: FinSet, probe_bound: int, search_bound: int) -> DenseRe
 
 
 def least_extension_index(probe: PartialFn, above: int, search_bound: int,
-                          within: Optional[FinSet] = None,
+                          within: int = -1,
                           without: Iterable[int] = ()) -> Optional[int]:
     """Smallest index n with above < n < search_bound whose function extends
-    `probe`, restricted to `within` (when given) and avoiding `without`.
+    `probe`, among the members of the mask `within` and avoiding `without`.
+    A negative `within` holds every index past its bits: -1 is every index,
+    ~U every index outside U.
 
     Returns None when no such index exists below the bound.
     """
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
-    excluded = set(without)
-    if within is not None:
-        return _least_member_extension(probe, _member_bytes(within), above,
-                                       search_bound, excluded)
-    return _least_extension(probe, above, search_bound, excluded)
+    return _least_member_extension(probe, _member_bytes(within), above,
+                                   search_bound, set(without))
 
 
 def _least_extension(probe: PartialFn, above: int, search_bound: int,
                      excluded: set[int]) -> Optional[int]:
-    """The search of least_extension_index without a member set."""
+    """The counting search of least_extension_index, every index a member."""
     if above >= search_bound - 1:
         return None  # no index lies strictly between the two
     if not probe.entries:
@@ -429,7 +410,7 @@ def _next_extension(probe: PartialFn, above: int) -> int:
 def _least_member_extension(probe: PartialFn, data: bytes,
                             above: int, search_bound: int,
                             excluded: set[int]) -> Optional[int]:
-    """Least member n of `data` (a set's `_member_bytes`), above < n <
+    """Least member n of `data` (a mask's `_member_bytes`), above < n <
     search_bound and not excluded, whose function extends `probe`.  A
     leapfrog: from extension e to the least member n >= e, and from n != e
     to the least extension >= n by one counting search."""
@@ -442,8 +423,10 @@ def _least_member_extension(probe: PartialFn, data: bytes,
     return None
 
 
-def _member_bytes(members: FinSet) -> bytes:
-    return members.mask.to_bytes((members.mask.bit_length() + 7) // 8, "little")
+def _member_bytes(mask: int) -> bytes:
+    """The mask's signed little-endian bytes: the top byte's sign bit says
+    whether every index past them is a member."""
+    return mask.to_bytes(mask.bit_length() // 8 + 1, "little", signed=True)
 
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
@@ -452,10 +435,13 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 def _next_member(data: bytes, x: int) -> Optional[int]:
     """Least member at or past x >= 0 of `data`, where member x is bit x & 7
     of byte x >> 3: x's own byte, then the next nonzero byte by one C-level
-    search that copies nothing."""
+    search that copies nothing.  Past the data the top byte's sign bit
+    decides: every x is a member of a negative mask and none of a
+    non-negative one.  Inside it, a negative mask's nonzero top byte stops
+    the search, so None means no member at all."""
     i = x >> 3
     if i >= len(data):  # also keeps a huge x away from re's offset
-        return None
+        return x if data[-1] >> 7 else None
     byte = data[i] >> (x & 7) << (x & 7)
     if not byte:
         found = _NONZERO_BYTE.search(data, i + 1)

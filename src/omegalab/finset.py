@@ -183,18 +183,27 @@ class SaturationReport:
     bound: int
 
 
+def combination_mask(family: Family, spec: CombinationSpec) -> int:
+    """The mask of the pos-indexed sets intersected with the complements of
+    the neg-indexed ones, with no universe: one AND walk from -1, so the
+    empty spec gives -1 (every index) and a neg-only spec a negative,
+    co-finite mask.  Its size follows the sets, not n."""
+    pos, neg = family.sets_at(spec.pos), family.sets_at(spec.neg)
+    mask = -1
+    for s in pos:
+        mask &= s.mask
+    for s in neg:
+        mask &= ~s.mask
+    return mask
+
+
 def boolean_combination(family: Family, spec: CombinationSpec) -> FinSet:
     """Intersect the pos-indexed sets with the complements of the neg-indexed ones.
 
     The empty spec yields the full universe.
     """
-    pos, neg = family.sets_at(spec.pos), family.sets_at(spec.neg)
-    mask = full_mask(family.n)
-    for s in pos:
-        mask &= s.mask
-    for s in neg:
-        mask &= ~s.mask
-    return FinSet(family.n, mask)
+    mask = combination_mask(family, spec)
+    return FinSet(family.n, mask & full_mask(family.n))
 
 
 def _prefix_masks(pool: Sequence[int], table: Sequence[int], base: int,

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .codec import (EMPTY_FN, PartialFn, check_dense, least_extension_index,
                     nth_partial_fn)
 from .errors import GridOverflow, SearchExhausted
-from .finset import (CombinationSpec, Family, FinSet, boolean_combination,
+from .finset import (CombinationSpec, Family, FinSet, combination_mask,
                      combination_masks, combination_specs)
 
 IN = "in"
@@ -205,15 +205,6 @@ def _echo_entries(elements: Sequence[int], grid: TargetGrid,
     return extra
 
 
-def _demand_search_sets(spec: CombinationSpec, merged: Family
-                        ) -> tuple[Optional[FinSet], set[int]]:
-    """Realize the demand's index set for searching: the member set when
-    any set enters positively, else an exclusion set."""
-    if spec.pos:
-        return boolean_combination(merged, spec), set()
-    return None, set().union(*merged.sets_at(spec.neg))
-
-
 def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
                    search_bound: int) -> MeetResult:
     """Extend the chain to meet one demand; raises SearchExhausted when no
@@ -224,29 +215,30 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
     set past the current maximum.  Polarity "out": record the least index of
     the demand's set, outside the chain, whose function extends the probe,
     then end-extend the chain past it (so the witness stays decided-out).
+    The demand's set is searched as its finset.combination_mask, which is
+    co-finite when no set enters positively: no universe is built.
     """
     merged = merge_families(families)
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
     grid = cond.grid
     probe = nth_partial_fn(demand.probe_index)
-    within, excluded = _demand_search_sets(demand.spec, merged)
+    within = combination_mask(merged, demand.spec)
     above = cond.max_element if cond.elements else -1
 
     if demand.polarity == IN:
         augmented = PartialFn.from_entries(
             list(probe.entries) + _echo_entries(cond.elements, grid, probe))
         n = least_extension_index(augmented, above, search_bound,
-                                  within=within, without=excluded)
+                                  within=within)
         if n is None:
             raise SearchExhausted(
                 f"no in-witness below {search_bound} for probe "
                 f"{demand.probe_index} over spec {demand.spec}")
         return MeetResult(cond.extended(n), n)
 
-    witness = least_extension_index(
-        probe, -1, search_bound, within=within,
-        without=excluded | set(cond.elements))
+    witness = least_extension_index(probe, -1, search_bound, within=within,
+                                    without=cond.elements)
     if witness is None:
         raise SearchExhausted(
             f"no out-witness below {search_bound} for probe "

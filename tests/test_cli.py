@@ -279,8 +279,7 @@ class TestBuildGeneric:
 
     @pytest.mark.parametrize("pos, neg", [([], [5]), ([0], [5]), ([5], [])])
     def test_spec_index_out_of_range_one_message(self, workdir, pos, neg):
-        # neg-only demands search by exclusion, not by the combination's
-        # set, and are checked by the same index check
+        # pos and neg indices pass the same index check
         fams = workdir / "fams.json"
         write_json(str(fams), {"families": [{"N": 64, "sets": [[1, 2], [3]]}]})
         eta = workdir / "eta.json"
@@ -503,6 +502,25 @@ class TestUniverseCap:
         self.assert_refused(run_cli_capped(
             "build-generic", "--families", str(fams), "--eta", str(eta),
             "--demands", "auto:q=1", "--search-bound", "4096"))
+
+    @pytest.mark.parametrize("pos, neg, chain", [([0], [], [0]),
+                                                 ([], [0], [4])])
+    def test_build_generic_demand(self, workdir, pos, neg, chain):
+        # a demand's set is searched as its combination mask, which follows
+        # the sets: no mask of the whole universe is built
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [
+            {"N": self.HUGE, "sets": [[0, 1, 2, 3, 5, 8, 13, 21]]}]})
+        eta = workdir / "eta.json"
+        write_json(str(eta), zero_grid_obj())
+        sched = workdir / "sched.json"
+        write_json(str(sched), {"demands": [
+            {"pos": pos, "neg": neg, "probe": 0, "polarity": "in"}]})
+        res = run_cli_capped("build-generic", "--families", str(fams),
+                             "--eta", str(eta), "--demands", str(sched),
+                             "--search-bound", "4096")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["A"] == chain
 
     def test_diag_experiment_grid(self, workdir):
         # 2 * 10^10 grid values: refused before any is drawn, not after the

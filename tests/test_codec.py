@@ -17,10 +17,9 @@ from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
                             _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
-                            index_of_raw_code, is_functional_raw,
-                            least_extension_index, nth_partial_fn,
-                            partial_fn_index, point_code, point_decode,
-                            raw_code_of_index, slot_decode)
+                            index_of_raw_code, least_extension_index,
+                            nth_partial_fn, partial_fn_index, point_code,
+                            point_decode, raw_code_of_index)
 from omegalab.finset import CombinationSpec, Family, FinSet, bit_family
 from omegalab.generic import (IN, OUT, Demand, TargetGrid, auto_schedule,
                              build_generic)
@@ -69,6 +68,12 @@ def oracle_enumeration(raw_bound):
 ORACLE_RAWS = oracle_enumeration(1 << 16)
 
 
+def slot_decode(slot):
+    """The entry (a, b, i, value) that occupies `slot`."""
+    code, value = cantor_unpair(slot)
+    return (*point_decode(code), value)
+
+
 class TestPairings:
     def test_cantor_spot_values(self):
         assert cantor_pair(0, 0) == 0
@@ -106,10 +111,6 @@ class TestEnumerationAgainstOracle:
     def test_raw_codes_match_oracle(self):
         got = [raw_code_of_index(m) for m in range(len(ORACLE_RAWS))]
         assert got == ORACLE_RAWS
-
-    def test_is_functional_raw_matches_oracle(self):
-        for raw in range(2048):
-            assert is_functional_raw(raw) == oracle_is_functional(raw)
 
     def test_entries_match_oracle_decoding(self):
         for m in range(300):
@@ -313,7 +314,7 @@ class TestLeastExtensionIndex:
 
     def test_within_path(self):
         def within(*members):
-            return FinSet.from_members(16, members)
+            return FinSet.from_members(16, members).mask
         probe = PartialFn.from_entries([(0, 0, 0, 0)])
         assert least_extension_index(probe, -1, 1 << 20,
                                      within=within(0, 2, 3)) == 3
@@ -324,6 +325,11 @@ class TestLeastExtensionIndex:
                                      within=within(1, 5)) == 1
         assert least_extension_index(probe, -1, 1 << 20, within=within(1, 3),
                                      without=[1]) == 3
+        # a negative mask is co-finite: every index outside {1, 3}
+        assert least_extension_index(probe, -1, 1 << 20,
+                                     within=~within(1, 3)) == 7
+        assert least_extension_index(probe, 6, 8, within=~within(1, 3),
+                                     without=[7]) is None
 
     def test_unreachable_slots_return_none(self):
         probe = PartialFn.from_entries([(50, 0, 0, 0)])
@@ -446,10 +452,11 @@ def superset_least_extension(probe, above, bound, excluded):
     return None
 
 
-def brute_least_extension(probe, above, bound, without, within=None):
-    """Linear scan of the table for the least extension index."""
+def brute_least_extension(probe, above, bound, without, within=-1):
+    """Linear scan of the table for the least extension index among the
+    members of the mask `within`."""
     for n in range(max(above + 1, 0), min(bound, len(TABLE_30))):
-        if (n not in without and (within is None or n in within)
+        if (n not in without and within >> n & 1
                 and all(TABLE_30[n] >> s & 1 for s in probe.slots)):
             return n
     return None
@@ -470,7 +477,7 @@ class TestCountingPath:
     @settings(max_examples=300, deadline=None)
     def test_rank_inverts_unrank_up_to_googol(self, m):
         raw = _unrank(m)
-        assert is_functional_raw(raw)
+        assert oracle_is_functional(raw)
         assert index_of_raw_code(raw) == m
         assert _unrank(m + 1) > raw
         assert nth_partial_fn(m).raw_code == raw_code_of_index(m)
@@ -541,7 +548,8 @@ class TestCountingPath:
             assert count_functional_below(bits) == product
 
     @given(st.integers(0, 3000), st.integers(-1, 121_000),
-           st.integers(1, 120_960), st.booleans(), st.data())
+           st.integers(1, 120_960), st.sampled_from((None, "in", "out")),
+           st.data())
     @settings(max_examples=300, deadline=None)
     def test_least_extension_agrees_with_linear_scan(self, probe_idx, above,
                                                      bound, restrict, data):
@@ -557,15 +565,18 @@ class TestCountingPath:
             else st.just([])
         without = set(data.draw(some_first))
         without |= set(data.draw(st.lists(st.integers(0, 120_960), max_size=20)))
-        within = members = None
-        if restrict:  # a member set holding some of the first extensions
+        within = -1
+        if restrict:  # a member set holding some of the first extensions,
+            # or (out) the co-finite mask of every index outside it
             members = set(data.draw(st.lists(st.integers(0, 120_960),
                                              max_size=40)))
             members |= set(data.draw(some_first))
-            within = FinSet.from_members(120_961, members)
+            within = FinSet.from_members(120_961, members).mask
+            if restrict == "out":
+                within = ~within
         assert least_extension_index(probe, above, bound, within=within,
                                      without=without) == \
-            brute_least_extension(probe, above, bound, without, members)
+            brute_least_extension(probe, above, bound, without, within)
 
     @given(st.lists(st.integers(0, 120_959), max_size=60),
            st.integers(1, 40), st.integers(1, 120_960))
@@ -573,9 +584,9 @@ class TestCountingPath:
     def test_check_dense_agrees_with_linear_scan(self, members, probe_bound,
                                                  search_bound):
         missing = next((m for m in range(probe_bound)
-                        if brute_least_extension(nth_partial_fn(m), -1,
-                                                 search_bound, set(),
-                                                 set(members)) is None), None)
+                        if brute_least_extension(
+                            nth_partial_fn(m), -1, search_bound, set(),
+                            sum(1 << x for x in set(members))) is None), None)
         rep = check_dense(FinSet.from_members(120_960, members), probe_bound,
                           search_bound)
         assert (rep.ok, rep.missing_probe) == (missing is None, missing)
@@ -624,22 +635,35 @@ class TestMemberSearch:
             st.lists(st.integers(0, 500), max_size=6),
             st.integers(0, (1 << 501) - 1).map(_bits_of)))
         mask = sum(1 << x for x in set(members))
-        view = _member_bytes(FinSet(501, mask))
+        if data.draw(st.booleans()):  # the co-finite complement of the set
+            mask = ~mask
+        view = _member_bytes(mask)
         # inside a byte, on a member, just past one, across runs, and far
         # past the data, where the byte offset must not reach re
         near = [max(m + d, 0) for m in members for d in (-9, -1, 0, 1, 5, 8)]
         x = data.draw(st.one_of(st.integers(0, 520),
                                 st.sampled_from(near or [0]),
                                 st.integers(len(view) * 8, 10 ** 30)))
+        # every bit from the bit length on equals the sign bit
         assert _next_member(view, x) == next(
-            (y for y in range(x, mask.bit_length()) if mask >> y & 1), None)
+            (y for y in range(x, max(x, mask.bit_length()) + 1)
+             if mask >> y & 1), None)
 
     def test_next_member_far_past_the_data(self):
-        assert _next_member(b"", 0) is None
-        assert _next_member(b"\x80", 7) == 7
-        assert _next_member(b"\x80", 8) is None
+        assert [_member_bytes(m) for m in (0, -1, 0x80, ~0x80)] == \
+            [b"\x00", b"\xff", b"\x80\x00", b"\x7f\xff"]
+        assert _next_member(b"\x00", 0) is None
+        assert _next_member(b"\x80\x00", 7) == 7
+        assert _next_member(b"\x80\x00", 8) is None
         assert _next_member(b"\x01" + bytes(9) + b"\x02", 1) == 81
         assert _next_member(b"\x01" + bytes(9), 10 ** 30) is None
+        # every index outside U = {0, 1, 3}: U's next clear bit inside the
+        # data, x itself past it
+        view = _member_bytes(~0b1011)
+        assert view == b"\xf4"
+        assert [_next_member(view, x) for x in (0, 3, 7, 8, 10 ** 30)] == \
+            [2, 4, 7, 8, 10 ** 30]
+        assert _next_member(b"\xff", 10 ** 30) == 10 ** 30
 
     @given(st.integers(0, 3000), st.integers(-1, 70_000),
            st.integers(1, 10 ** 6), st.data())
@@ -659,7 +683,7 @@ class TestMemberSearch:
         with mock.patch.object(codec, "_least_extension",
                                wraps=codec._least_extension) as spy:
             got = codec._least_member_extension(
-                probe, _member_bytes(members), above, bound, excluded)
+                probe, _member_bytes(members.mask), above, bound, excluded)
             leapfrog_calls = list(spy.call_args_list)
             spy.reset_mock()
             expected = merge_least_member_extension(probe, members, above,
@@ -677,7 +701,7 @@ class TestMemberSearch:
 
         def searches():
             return [check_dense(s, 16, n) for s in (dense, sparse)] + [
-                least_extension_index(probe, above, n, within=s)
+                least_extension_index(probe, above, n, within=s.mask)
                 for s in (dense, sparse) for above in (-1, 40, 5000)]
 
         def refuse(self):
@@ -735,13 +759,13 @@ class TestSearchResultsPinned:
             without = set(rng.sample(range(64), rng.randint(0, 8)))
             if first is not None and rng.random() < 0.3:
                 without.add(first)
-            within = None
+            within = -1
             if rng.random() < 0.5:
                 near = [] if first is None or first >= 1 << 16 else \
                     [first] + [min(first + d, (1 << 16) - 1)
                                for d in rng.sample(range(1, 400), 6)]
                 within = FinSet.from_members(1 << 16, near + rng.sample(
-                    range(1 << 16), rng.randint(0, 30)))
+                    range(1 << 16), rng.randint(0, 30))).mask
             results.append((first, least_extension_index(
                 probe, above, bound, within=within, without=without)))
         assert sum(r is not None for pair in results for r in pair) == 1672

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,60 @@ class TestBuildGeneric:
         run = build_generic(no_sets(), ZERO_GRID, [], 1 << 12)
         assert not run.degraded and run.condition.elements == ()
         assert run.decided_below == 0
+
+
+class TestDemandMask:
+    # a demand's set is searched as one mask; a neg-only one is co-finite
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_neg_only_equals_pos_over_the_complement(self, data):
+        n = data.draw(st.integers(1, 1 << 12))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        full = (1 << n) - 1
+        masks = [data.draw(st.sampled_from((
+            0, full, rng.getrandbits(n),
+            full ^ FinSet.from_members(n, rng.sample(range(n), min(n, 5))).mask,
+            FinSet.from_members(n, rng.sample(range(n), min(n, 5))).mask)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+        neg = tuple(data.draw(st.lists(st.integers(0, len(masks) - 1),
+                                       min_size=1, unique=True)))
+        grid = TargetGrid.random(rng.randint(1, 6), rng.randint(1, 4),
+                                 rng.randint(1, 2), rng)
+        shape = data.draw(st.lists(st.tuples(st.integers(0, 8), st.booleans()),
+                                   min_size=1, max_size=5))
+        bound = data.draw(st.integers(1, n))
+        runs = []
+        for sets, spec in ((masks, CombinationSpec(neg=neg)),
+                           ([full ^ m for m in masks], CombinationSpec(pos=neg))):
+            family = Family(n, tuple(FinSet(n, m) for m in sets))
+            schedule = [Demand(spec, p, IN if inside else OUT)
+                        for p, inside in shape]
+            run = build_generic([family], grid, schedule, bound)
+            runs.append((run.condition.elements,
+                         [s.witness for s in run.steps], run.failure_kind))
+        assert runs[0] == runs[1]
+
+    def test_neg_only_memory_follows_the_sets(self):
+        # no Python set of the neg set's 2^19 members: the search reads the
+        # co-finite mask's bytes, about 128 kB
+        n = 1 << 20
+        family = bit_family(1, n)
+        schedule = [Demand(CombinationSpec(neg=(0,)), p, IN) for p in range(4)]
+        tracemalloc.start()
+        try:
+            run = build_generic([family], ZERO_GRID, schedule, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        complement = Family(n, (FinSet(n, ((1 << n) - 1) ^ family.sets[0].mask),))
+        pos_run = build_generic(
+            [complement], ZERO_GRID,
+            [Demand(CombinationSpec(pos=(0,)), p, IN) for p in range(4)], n)
+        assert (run.condition.elements, run.failure_kind) == \
+            (pos_run.condition.elements, pos_run.failure_kind) == \
+            ((0,), "search-exhausted")
 
 
 class TestMergeFamilies:
