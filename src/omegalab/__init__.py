@@ -5,8 +5,7 @@ demand-driven generic constructions."""
 from .codec import (EMPTY_FN, PartialFn, cantor_pair, cantor_unpair,
                     check_dense, count_functional_below, entry_slot,
                     index_of_raw_code, least_extension_index, nth_partial_fn,
-                    partial_fn_index, point_code, point_decode,
-                    raw_code_of_index)
+                    partial_fn_index, point_code, raw_code_of_index)
 from .config import ExperimentConfig, child_seed
 from .diag import (CatchReport, LazyPermutation, PipelineReport, case_split,
                    grid_fn_from_perm, matches, moved_within, run_pipeline,

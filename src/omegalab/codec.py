@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
-from .finset import FinSet
-
 # Beyond this slot position a single entry already forces the enumeration
 # index past ~2^(10^7); refuse to rank such codes instead of looping forever.
 SLOT_LIMIT = 10 ** 7
@@ -61,11 +59,6 @@ def cantor_unpair(q: int) -> tuple[int, int]:
 
 def point_code(a: int, b: int, i: int) -> int:
     return 2 * cantor_pair(a, b) + i
-
-
-def point_decode(code: int) -> tuple[int, int, int]:
-    a, b = cantor_unpair(code >> 1)
-    return a, b, code & 1
 
 
 def entry_slot(a: int, b: int, i: int, value: int) -> int:
@@ -275,9 +268,15 @@ def _rank_below(raw: int, used: list[int]) -> int:
 def nth_partial_fn(m: int) -> PartialFn:
     """The m-th partial function in the canonical enumeration, built straight
     from the walk: its groups are distinct point codes, so sorting by group
-    gives the entry order and nothing needs checking again."""
-    pairs = sorted((g, v) for _, g, v in _unrank_walk(m))
-    return PartialFn(tuple((*point_decode(g), v) for g, v in pairs))
+    gives the entry order and nothing needs checking again.  Each group g is
+    point_code's inverse: (a, b) = cantor_unpair(g >> 1), i = g & 1."""
+    entries = []
+    for g, v in sorted((g, v) for _, g, v in _unrank_walk(m)):
+        q = g >> 1
+        w = (math.isqrt(8 * q + 1) - 1) // 2
+        b = q - w * (w + 1) // 2
+        entries.append((w - b, b, g & 1, v))
+    return PartialFn(tuple(entries))
 
 
 def partial_fn_index(fn: PartialFn) -> int:
@@ -296,16 +295,17 @@ class DenseReport:
     search_bound: int
 
 
-def check_dense(members: FinSet, probe_bound: int, search_bound: int) -> DenseReport:
-    """Does every probe index m < probe_bound have an extension witness in
-    `members` below search_bound?
+def check_dense(within: int, probe_bound: int, search_bound: int) -> DenseReport:
+    """Does every probe index m < probe_bound have an extension witness among
+    the members of the mask `within` below search_bound?
 
-    A witness for m is any n in `members` with n < search_bound whose partial
-    function extends the m-th one.  Reports the least unwitnessed probe.
+    A witness for m is any member n < search_bound whose partial function
+    extends the m-th one.  A negative `within` is co-finite, as in
+    least_extension_index.  Reports the least unwitnessed probe.
     """
     if probe_bound < 1 or search_bound < 1:
         raise ValueError("bounds must be >= 1")
-    data = _member_bytes(members.mask)
+    data = _member_bytes(within)
     for m in range(probe_bound):
         if m < search_bound and _next_member(data, m) == m:
             continue  # a function extends itself

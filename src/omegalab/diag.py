@@ -130,6 +130,8 @@ class LazyPermutation:
 
     Both directions are kept consistent; every unqueried image is uniform
     over the unused points.  Deterministic given the seed and query order.
+    A draw is randrange(n)'s own loop of n.bit_length()-bit getrandbits
+    words, also redrawn while used: the same calls, so the same stream.
     """
 
     def __init__(self, n: int, seed: int):
@@ -154,12 +156,13 @@ class LazyPermutation:
             raise ValueError(f"{x} outside the universe [0, {self.n})")
         if x in there:
             return there[x]
-        while True:
-            y = self._rng.randrange(self.n)
-            if y not in back:
-                there[x] = y
-                back[y] = x
-                return y
+        n, draw = self.n, self._rng.getrandbits
+        k = n.bit_length()
+        y = draw(k)
+        while y >= n or y in back:
+            y = draw(k)
+        there[x], back[y] = y, x
+        return y
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ universes past MAX_UNIVERSE (2^26 points, 8 MiB as a mask) with a ValueError
 instead of asking for memory the input does not need.
 
 Combination sets come from one scan, combination_masks: a pre-order
-depth-first walk over (pos, neg) in which each combination is one big-int
-AND of its parent's mask with a set or a precomputed complement.  A family
+depth-first walk from -1 over (pos, neg), in which each combination is one
+big-int AND of its parent's mask with a set or its complement ~mask: no
+universe is built, and a combination with no pos set is co-finite.  A family
 of k sets has sum_{j<=d} C(k,j)*2^j combinations of depth <= d
 (count_combinations).  combination_specs and is_saturated run the same
 walk: is_saturated over the points, each read as the k-bit set of the
@@ -270,13 +271,13 @@ def combination_masks(family: Family, depth: int
                       ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """(mask, pos, neg) of every combination of depth <= `depth`, in the
     order of combination_specs, so the first failure a scan meets is the
-    lexicographically least.
+    lexicographically least.  Each mask is combination_mask(family, spec),
+    with no universe: co-finite (negative) when no set enters positively.
 
-    One pre-order walk: the pos tuples over the sets, and under each the neg
-    tuples over the remaining sets against precomputed complements.
+    One pre-order walk from -1: the pos tuples over the sets, and under each
+    the neg tuples over the remaining sets against precomputed complements.
     """
-    return _combinations([s.mask for s in family.sets], full_mask(family.n),
-                         depth)
+    return _combinations([s.mask for s in family.sets], -1, depth)
 
 
 def _check_depth(family: Family, depth: int) -> None:

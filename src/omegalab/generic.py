@@ -184,6 +184,14 @@ def merge_families(families: Sequence[Family]) -> Family:
     return Family(n, tuple(sets))
 
 
+def _merge_for_search(families: Sequence[Family], search_bound: int) -> Family:
+    """merge_families, refusing a search bound past the merged universe."""
+    merged = merge_families(families)
+    if search_bound > merged.n:
+        raise ValueError("search bound cannot exceed the universe size")
+    return merged
+
+
 def _echo_entries(elements: Sequence[int], grid: TargetGrid,
                   base: PartialFn) -> list[tuple[int, int, int, int]]:
     """For each chain element m and layer i, the least free column past the
@@ -216,9 +224,10 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
     the demand's set, outside the chain, whose function extends the probe,
     then end-extend the chain past it (so the witness stays decided-out).
     The demand's set is searched as its finset.combination_mask, which is
-    co-finite when no set enters positively: no universe is built.
+    co-finite when no set enters positively: no universe is built.  A search
+    bound past the families' universe is a ValueError, as in build_generic.
     """
-    merged = merge_families(families)
+    merged = _merge_for_search(families, search_bound)
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
     grid = cond.grid
@@ -302,9 +311,7 @@ def build_generic(families: Sequence[Family], grid: TargetGrid,
     bound past the families' universe is a ValueError: the chain would name
     points outside it.
     """
-    merged = merge_families(families)
-    if search_bound > merged.n:
-        raise ValueError("search bound cannot exceed the universe size")
+    merged = _merge_for_search(families, search_bound)
     cond = Condition.empty(grid)
     steps: list[StepRecord] = []
     kind = detail = None
@@ -348,12 +355,13 @@ def check_all_combos_dense(families: Sequence[Family], probe_bound: int,
                            depth: Optional[int] = None) -> ComboDensityReport:
     """Is every combination of the families dense in the enumeration, in the
     check_dense sense?  Reports the least failing (spec, probe), walking the
-    combinations by finset.combination_masks."""
+    combinations by finset.combination_masks.  Their masks hold no universe,
+    so each search stops below min(search_bound, n), where the sets end."""
     merged = merge_families(families)
     if depth is None:
         depth = len(merged.sets)
     for mask, pos, neg in combination_masks(merged, depth):
-        rep = check_dense(FinSet(merged.n, mask), probe_bound, search_bound)
+        rep = check_dense(mask, probe_bound, min(search_bound, merged.n))
         if not rep.ok:
             return ComboDensityReport(False, CombinationSpec(pos, neg),
                                       rep.missing_probe, probe_bound,

@@ -522,6 +522,19 @@ class TestUniverseCap:
         assert res.returncode == 0
         assert json.loads(res.stdout)["A"] == chain
 
+    def test_verify_star(self, workdir):
+        # the density scan's masks hold no universe (co-finite where no set
+        # enters positively), so it answers at any universe size and bound
+        fams = workdir / "fams.json"
+        write_json(str(fams), {"families": [
+            {"N": self.HUGE, "sets": [[0, 1, 2, 3, 5, 8]]}]})
+        res = run_cli_capped("verify-star", "--families", str(fams),
+                             "--probe-bound", "8",
+                             "--search-bound", str(self.HUGE))
+        assert res.returncode == 1, res.stderr
+        assert json.loads(res.stdout)["failing"] == {"pos": [0], "neg": [],
+                                                     "probe": 7}
+
     def test_diag_experiment_grid(self, workdir):
         # 2 * 10^10 grid values: refused before any is drawn, not after the
         # draw has filled the address space

@@ -19,8 +19,9 @@ from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
                             count_functional_below, entry_slot,
                             index_of_raw_code, least_extension_index,
                             nth_partial_fn, partial_fn_index, point_code,
-                            point_decode, raw_code_of_index)
-from omegalab.finset import CombinationSpec, Family, FinSet, bit_family
+                            raw_code_of_index)
+from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
+                             full_mask)
 from omegalab.generic import (IN, OUT, Demand, TargetGrid, auto_schedule,
                              build_generic)
 
@@ -66,6 +67,12 @@ def oracle_enumeration(raw_bound):
 
 
 ORACLE_RAWS = oracle_enumeration(1 << 16)
+
+
+def point_decode(code):
+    """The point (a, b, i) whose point_code is `code`."""
+    a, b = cantor_unpair(code >> 1)
+    return a, b, code & 1
 
 
 def slot_decode(slot):
@@ -249,16 +256,17 @@ class TestPartialFn:
 
 class TestCheckDense:
     def test_initial_segment_is_dense(self):
-        rep = check_dense(FinSet.from_members(64, range(64)), 16, 64)
+        rep = check_dense(FinSet.from_members(64, range(64)).mask, 16, 64)
         assert rep.ok and rep.missing_probe is None
 
     def test_single_zero_fails_second_probe(self):
-        rep = check_dense(FinSet.from_members(16, [0]), 2, 16)
+        rep = check_dense(FinSet.from_members(16, [0]).mask, 2, 16)
         assert not rep.ok and rep.missing_probe == 1
 
     def test_even_indices_by_brute_force(self):
         members = [m for m in range(0, 4000, 2)]
-        rep = check_dense(FinSet.from_members(4000, members), 8, 4000)
+        rep = check_dense(FinSet.from_members(4000, members).mask, 8,
+                          4000)
         expected_ok = True
         for probe in range(8):
             probe_fn = nth_partial_fn(probe)
@@ -272,7 +280,7 @@ class TestCheckDense:
                                          FinSet.from_members(16, range(16))])
     def test_member_past_search_bound_is_no_witness(self, members):
         # probe 4 is a member, but no index below the bound 4 extends it
-        rep = check_dense(members, 8, 4)
+        rep = check_dense(members.mask, 8, 4)
         assert not rep.ok and rep.missing_probe == 4
 
     @pytest.mark.parametrize("members, missing", [
@@ -280,8 +288,23 @@ class TestCheckDense:
     def test_huge_bounds_cut_at_the_universe(self, members, missing):
         # the probes' mask stops at the set's universe: bounds of 10**12 give
         # the first missing probe at once, with no 10**12-bit integer
-        rep = check_dense(members, 10 ** 12, 10 ** 12)
+        rep = check_dense(members.mask, 10 ** 12, 10 ** 12)
         assert not rep.ok and rep.missing_probe == missing
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_co_finite_mask_equals_its_cut_to_the_universe(self, data):
+        # below a bound b <= n, a co-finite mask and its cut to {0..n-1}
+        # hold the same members, so they must give the same report
+        n = data.draw(st.integers(1, 5000))
+        holes = data.draw(st.one_of(
+            st.just(0), st.integers(0, (1 << n) - 1),
+            st.sets(st.integers(0, n + 64), max_size=40).map(
+                lambda xs: sum(1 << x for x in xs))))
+        probe_bound = data.draw(st.integers(1, 30))
+        search_bound = data.draw(st.integers(1, n))
+        assert check_dense(~holes, probe_bound, search_bound) == check_dense(
+            ~holes & full_mask(n), probe_bound, search_bound)
 
     def test_memory_follows_the_members_not_their_values(self):
         # a mask of the self-witnessing probes would ask for 2^(10^12) bits;
@@ -290,7 +313,8 @@ class TestCheckDense:
         code = ("from omegalab.codec import check_dense\n"
                 "from omegalab.finset import FinSet\n"
                 "big = 10 ** 12\n"
-                "print(check_dense(FinSet(big, 0b1011), big, big).missing_probe)\n")
+                "print(check_dense(FinSet(big, 0b1011).mask, big, big)"
+                ".missing_probe)\n")
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -587,8 +611,8 @@ class TestCountingPath:
                         if brute_least_extension(
                             nth_partial_fn(m), -1, search_bound, set(),
                             sum(1 << x for x in set(members))) is None), None)
-        rep = check_dense(FinSet.from_members(120_960, members), probe_bound,
-                          search_bound)
+        rep = check_dense(FinSet.from_members(120_960, members).mask,
+                          probe_bound, search_bound)
         assert (rep.ok, rep.missing_probe) == (missing is None, missing)
 
     def test_least_extension_none_cases(self):
@@ -700,7 +724,7 @@ class TestMemberSearch:
         probe = nth_partial_fn(40)
 
         def searches():
-            return [check_dense(s, 16, n) for s in (dense, sparse)] + [
+            return [check_dense(s.mask, 16, n) for s in (dense, sparse)] + [
                 least_extension_index(probe, above, n, within=s.mask)
                 for s in (dense, sparse) for above in (-1, 40, 5000)]
 
@@ -782,7 +806,7 @@ class TestSearchResultsPinned:
                 FinSet(n), FinSet(n, rng.getrandbits(n)), FinSet(n, (1 << n) - 1),
                 FinSet.from_members(n, rng.sample(range(n), rng.randint(1, 40)))))
             search_bound = rng.choice((rng.randint(1, n), _pinned_bound(rng)))
-            results.append(check_dense(members, rng.randint(1, 24),
+            results.append(check_dense(members.mask, rng.randint(1, 24),
                                        search_bound))
         assert sum(rep.ok for rep in results) == 139
         assert _digest(results) == (

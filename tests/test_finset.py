@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from omegalab import finset
 from omegalab.finset import (MAX_UNIVERSE, CombinationSpec, Family, FinSet,
                              IndependenceReport, bit_family,
-                             boolean_combination, combination_masks,
-                             combination_specs, count_combinations,
-                             is_independent, is_saturated,
-                             min_combination_size)
+                             boolean_combination, combination_mask,
+                             combination_masks, combination_specs,
+                             count_combinations, full_mask, is_independent,
+                             is_saturated, min_combination_size)
 
 
 def oracle_combination(family: Family, spec: CombinationSpec) -> list[int]:
@@ -342,10 +342,15 @@ class TestCombinationScan:
     @given(wide_families(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_masks_follow_spec_order(self, family, depth):
+        # each mask is the spec's universe-free combination_mask; cut to the
+        # universe, it is the spec's boolean_combination
         got = list(combination_masks(family, depth))
-        assert got == [(boolean_combination(family, spec).mask, spec.pos,
-                        spec.neg)
-                       for spec in combination_specs(len(family.sets), depth)]
+        specs = list(combination_specs(len(family.sets), depth))
+        assert got == [(combination_mask(family, spec), spec.pos, spec.neg)
+                       for spec in specs]
+        full = full_mask(family.n)
+        for (mask, _, _), spec in zip(got, specs):
+            assert mask & full == boolean_combination(family, spec).mask
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,18 @@ class TestExtendToMeet:
         with pytest.raises(SearchExhausted):
             extend_to_meet(cond, demand, fams, 1 << 12)
 
+    def test_search_bound_past_universe_rejected(self):
+        # a neg-only demand's mask is co-finite, so without the check this
+        # planted witness 3 in a 2-point universe
+        with pytest.raises(ValueError, match="cannot exceed the universe"):
+            extend_to_meet(Condition((0,), TargetGrid.constant(4, 4)),
+                           Demand(CombinationSpec(neg=(0,)), 0, IN),
+                           [Family.from_lists(2, [[1]])], 100)
+        res = extend_to_meet(Condition.empty(ZERO_GRID),
+                             Demand(CombinationSpec(neg=(0,)), 0, IN),
+                             [Family.from_lists(2, [[1]])], 2)
+        assert res.witness == 0
+
 
 class TestBuildGeneric:
     def test_two_in_demands(self):
@@ -355,14 +367,33 @@ class TestCheckAllCombosDense:
         expected = ComboDensityReport(True, None, None, probe_bound,
                                       search_bound)
         for spec in combination_specs(len(fam.sets), depth):
-            rep = check_dense(boolean_combination(fam, spec), probe_bound,
-                              search_bound)
+            rep = check_dense(boolean_combination(fam, spec).mask,
+                              probe_bound, search_bound)
             if not rep.ok:
                 expected = ComboDensityReport(False, spec, rep.missing_probe,
                                               probe_bound, search_bound)
                 break
         assert check_all_combos_dense([fam], probe_bound, search_bound,
                                       depth) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bound_past_the_universe_reads_as_the_universe(self, data):
+        # the scan's masks hold no universe (co-finite for neg-only specs),
+        # so a bound past n must still search below n alone
+        n = data.draw(st.integers(1, 70))
+        full = (1 << n) - 1
+        masks = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+        fam = Family(n, tuple(FinSet(n, data.draw(masks))
+                              for _ in range(data.draw(st.integers(0, 4)))))
+        depth = data.draw(st.integers(0, len(fam.sets)))
+        probe_bound = data.draw(st.integers(1, 6))
+        past = data.draw(st.integers(n + 1, 4 * n))
+        at_n, beyond = (check_all_combos_dense([fam], probe_bound, bound,
+                                               depth) for bound in (n, past))
+        assert (beyond.ok, beyond.failing_spec, beyond.failing_probe) == (
+            at_n.ok, at_n.failing_spec, at_n.failing_probe)
+        assert beyond.search_bound == past
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth"):
