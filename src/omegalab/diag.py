@@ -57,15 +57,12 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn
         raise ValueError("grid dimensions must be >= 1")
     entries = []
     for layer, index_of in ((0, perm.apply), (1, perm.inverse_apply)):
-        cutoffs = []
-        for m in range(rows):
-            cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
-            if cutoff >= perm.n:
-                break
-            cutoffs.append(cutoff)
+        cutoff = 0
         for m in range(rows):
             j = index_of(m)  # queried for every row, to keep the draws
-            if m < len(cutoffs) and j >= cutoffs[m]:
+            if cutoff < perm.n:  # once past n it stays past every j
+                cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
+            if j >= cutoff:
                 entries.extend((m, b, layer, v)
                                for a, b, i, v in nth_partial_fn(j).entries
                                if a == m and i == layer and b < cols)

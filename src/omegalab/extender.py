@@ -443,6 +443,10 @@ def homogenize(family: Family,
     """Work through extension demands in order, growing the family by each
     successful closure; stops at the first demand whose search fails.
 
+    This is the paper's homogenization step iterated, for a library caller:
+    each step's closure becomes the next step's family.  No CLI command or
+    pipeline runs it.
+
     Demand idx runs find_independent_shuffle on the current family with the
     given threshold, depth, layers and budget, seeded by child_seed(seed,
     HOMOG_TAG, idx).
