@@ -6,6 +6,9 @@ one-screen human summary always goes to stderr, so piping JSON stays clean.
 Exit statuses: 0 pass, 1 invariant violation, 2 degraded/budget-exhausted,
 64 usage, 65 bad data, 66 missing input, 70 internal error (any other
 exception, reported in one line), 74 other I/O failure.
+
+Only extend-perm and close-orbit import extender, inside their handlers, so
+no other request loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .config import ExperimentConfig
 from .diag import run_pipeline
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
                      InducedMapNotPermutation, SearchExhausted)
-from .extender import find_independent_shuffle, orbit_closure
 from .finset import bit_family, count_combinations, is_independent, is_saturated
 from .generic import (auto_schedule, build_generic, check_all_combos_dense,
                       is_condition)
@@ -141,6 +143,7 @@ def _cmd_rho_index(args) -> int:
 
 
 def _cmd_extend_perm(args) -> int:
+    from .extender import find_independent_shuffle
     family = family_from_obj(read_json(args.family))
     f, g = extension_demand_from_obj(read_json(args.demand), family.n)
     rep = find_independent_shuffle(f, g, family, args.t, args.d, args.L,
@@ -166,6 +169,7 @@ def _cmd_extend_perm(args) -> int:
 
 
 def _cmd_close_orbit(args) -> int:
+    from .extender import orbit_closure
     family = family_from_obj(read_json(args.family))
     perm = permutation_from_obj(read_json(args.perm))
     closed = orbit_closure(family, perm, args.layers)

@@ -40,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 # Beyond this slot position a single entry already forces the enumeration
 # index past ~2^(10^7); refuse to rank such codes instead of looping forever.
@@ -287,8 +287,7 @@ def partial_fn_index(fn: PartialFn) -> int:
 
 # --- density and extension search --------------------------------------------
 
-@dataclass(frozen=True)
-class DenseReport:
+class DenseReport(NamedTuple):
     ok: bool
     missing_probe: Optional[int]
     probe_bound: int

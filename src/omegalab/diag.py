@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Protocol
+from typing import Any, Iterable, NamedTuple, Optional, Protocol
 
 from .codec import (PartialFn, count_functional_below, entry_slot,
                     nth_partial_fn)
@@ -78,11 +78,12 @@ def case_split(perm: PointPermutation, members: Iterable[int]
                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the pi-related pairs inside the set by direction: elements sent
     up to another element, and elements sent down to one."""
-    elems = sorted(set(members))
-    elem_set = set(elems)
-    up = tuple(m for m in elems if perm.apply(m) in elem_set and m < perm.apply(m))
-    down = tuple(n for n in elems if perm.apply(n) in elem_set and n > perm.apply(n))
-    return up, down
+    elem_set = set(members)
+    # each image read once, in ascending order, so the draws do not change
+    related = [(m, y) for m in sorted(elem_set)
+               if (y := perm.apply(m)) in elem_set]
+    return (tuple(m for m, y in related if m < y),
+            tuple(m for m, y in related if m > y))
 
 
 def matches(fn: PartialFn, target: TargetGrid) -> int:
@@ -93,8 +94,7 @@ def matches(fn: PartialFn, target: TargetGrid) -> int:
                and v == target.value_at(m, k, i))
 
 
-@dataclass(frozen=True)
-class CatchReport:
+class CatchReport(NamedTuple):
     """Every pi-related pair inside the set, each checked for a captured
     match in the earlier row of the induced function."""
 
@@ -162,8 +162,7 @@ class LazyPermutation:
         return y
 
 
-@dataclass(frozen=True)
-class BuildRecord:
+class BuildRecord(NamedTuple):
     index: int
     run: GenericRun
 
@@ -177,8 +176,7 @@ class BuildRecord:
                 **run_to_obj(self.run)}
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """One sampled permutation: how much it moves low rows, how well its
     induced function matches each target, and the capture verdicts."""
 
@@ -200,8 +198,7 @@ class SampleRecord:
         }
 
 
-@dataclass(frozen=True)
-class SamplingSummary:
+class SamplingSummary(NamedTuple):
     samples: int
     violations: int
     up_checked: int

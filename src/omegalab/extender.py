@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import HOMOG_TAG, child_seed
 from .errors import (CardinalityMismatch, IncompatiblePair,
@@ -106,8 +106,7 @@ class FamilyMap(_PairMap):
         return cls(tuple(mapping.items()))
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(NamedTuple):
     """The nonempty cells cut by the sets g touches, in signature order.
 
     signatures[k] has bit j set when cell k lies inside the set indexed by
@@ -164,8 +163,7 @@ def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
     return AtomDecomposition(family.n, atoms, tuple(sigs), tuple(action))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     ok: bool
     witness: Optional[tuple[int, int]]  # (point, family index) that disagree
 
@@ -425,8 +423,7 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
                                best_attempt, best_min_size)
 
 
-@dataclass(frozen=True)
-class HomogenizeReport:
+class HomogenizeReport(NamedTuple):
     steps: tuple[ShuffleSearchReport, ...]
     family: Family
     failed_at: Optional[int]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 # The largest universe a check builds whole: 2^26 points, an 8 MiB mask.
@@ -168,8 +168,7 @@ class CombinationSpec:
         return len(self.pos) + len(self.neg)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     ok: bool
     failing: Optional[CombinationSpec]
     size_found: int
@@ -177,8 +176,7 @@ class IndependenceReport:
     depth: int
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     ok: bool
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     bound: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codec import (EMPTY_FN, PartialFn, check_dense, least_extension_index,
                     nth_partial_fn)
@@ -106,8 +106,7 @@ def _pairwise_witness(elements: Sequence[int], grid: TargetGrid
     return None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     ok: bool
     witness: Optional[tuple[int, int, int]]
 
@@ -166,8 +165,7 @@ class Demand:
             raise ValueError("probe index must be >= 0")
 
 
-@dataclass(frozen=True)
-class MeetResult:
+class MeetResult(NamedTuple):
     condition: Condition
     witness: int
 
@@ -262,16 +260,14 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
     return MeetResult(cond.extended(pad), witness)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One met demand; it added one element, the chain's new maximum."""
 
     demand: Demand
     witness: int
 
 
-@dataclass(frozen=True)
-class GenericRun:
+class GenericRun(NamedTuple):
     """Outcome of folding a demand schedule from the empty chain."""
 
     universe: int
@@ -341,8 +337,7 @@ def auto_schedule(prior_set_count: int, probes: int) -> tuple[Demand, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ComboDensityReport:
+class ComboDensityReport(NamedTuple):
     ok: bool
     failing_spec: Optional[CombinationSpec]
     failing_probe: Optional[int]

@@ -9,13 +9,15 @@ suite and the determinism checks rely on.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .codec import PartialFn
-from .extender import FamilyMap, PartialInjection, Permutation
 from .finset import CombinationSpec, Family, FinSet, IndependenceReport
 from .generic import (IN, OUT, ComboDensityReport, Demand, GenericRun,
                       TargetGrid)
+
+if TYPE_CHECKING:  # imported at run time only by the map readers below
+    from .extender import FamilyMap, PartialInjection, Permutation
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -235,6 +237,7 @@ def _pairs_from_obj(obj: Any, what: str) -> tuple[tuple[int, int], ...]:
 def extension_demand_from_obj(obj: Any, n: int
                               ) -> tuple[PartialInjection, FamilyMap]:
     """The point half f needs a universe size, taken from the family file."""
+    from .extender import FamilyMap, PartialInjection
     _require(obj, ("f", "g"), "extension demand")
     f = PartialInjection(n, _pairs_from_obj(obj["f"], "point map"))
     g = FamilyMap(_pairs_from_obj(obj["g"], "index map"))
@@ -242,6 +245,7 @@ def extension_demand_from_obj(obj: Any, n: int
 
 
 def permutation_from_obj(obj: Any) -> Permutation:
+    from .extender import Permutation
     _require(obj, ("N", "images"), "permutation")
     return Permutation(_universe_size(obj, "permutation"),
                        tuple(_int_list(obj["images"], "images")))
