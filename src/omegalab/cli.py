@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Optional, Sequence
 
-from .codec import nth_partial_fn, partial_fn_index
+from .codec import SLOT_LIMIT, nth_partial_fn, partial_fn_index
 from .config import ExperimentConfig
 from .diag import run_pipeline
 from .errors import (CardinalityMismatch, GridOverflow, IncompatiblePair,
@@ -137,8 +138,20 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_rho_index(args) -> int:
-    fn = partial_fn_from_obj(read_json(args.file))
-    print(partial_fn_index(fn))
+    index = partial_fn_index(partial_fn_from_obj(read_json(args.file)))
+    # every index partial_fn_index admits lies below (w+2)!, w the diagonal
+    # of slot SLOT_LIMIT: lift Python's int-to-str limit to its digits for
+    # this one print
+    w = (math.isqrt(8 * SLOT_LIMIT + 1) - 1) // 2
+    digits = int(math.lgamma(w + 3) / math.log(10)) + 1
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        print(index)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
     return EX_OK
 
 

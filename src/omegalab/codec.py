@@ -12,15 +12,18 @@ codes.  Slots group by the triple they describe, at most one slot per group
 may be set, and the functional codes with all slots below a bit bound number
 the product over groups of (1 + the group's slots below it), which is
 (w+1)! * (k+1) for the bound w(w+1)/2 + k, 0 <= k <= w.  Unranking walks the
-positions below its answer's top slot once, keeping that product with one
-exact division and multiplication per position: O(bits) big-integer steps.
-Ranking a code of k entries takes k closed-form counts, each divided by the
-factors of the groups used above it: O(k^2) small steps, k = O(sqrt(bits)).
-The least extension of a probe past an index is found in one top-down pass
-that walks the index's digits as unranking does and picks the answer's
-deviation position in the same step; its rank is the index less the walk's
-remainder there, plus the closed-form counts of the few slots below it.  The
-search bound is compared only with that rank.
+positions below its answer's top slot once, a diagonal at a time: diagonal d
+holds slot d - g of each group g <= d, so a free group's slots at or below
+it are known, and the product changes by one exact division and
+multiplication per free slot: O(bits) big-integer steps.  Ranking reads a
+function's slots, entry (a, b, i, v) as slot v of diagonal point_code(a, b,
+i) + v, and builds no raw code: k closed-form counts for k entries, each
+divided by the factors of the groups used above it, O(k^2) small steps,
+k = O(sqrt(bits)).  The least extension of a probe past an index is found in
+one top-down pass that walks the index's digits as unranking does and picks
+the answer's deviation slot in the same step; its rank is the index less the
+walk's remainder there, plus the closed-form counts of the few slots below
+it.  The search bound is compared only with that rank.
 nth_partial_fn builds its function from the walk's (group, value) pairs
 without re-validating them: the walk yields a functional code by
 construction.  Every search runs within a member mask: it reads the mask
@@ -40,7 +43,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # Beyond this slot position a single entry already forces the enumeration
 # index past ~2^(10^7); refuse to rank such codes instead of looping forever.
@@ -65,9 +68,10 @@ def entry_slot(a: int, b: int, i: int, value: int) -> int:
     return cantor_pair(point_code(a, b, i), value)
 
 
-def _slot_group(slot: int) -> int:
-    # the point code this slot describes
-    return cantor_unpair(slot)[0]
+def _check_slot(slot: int) -> None:
+    if slot > SLOT_LIMIT:
+        raise ValueError("entry slot exceeds the representable range "
+                         f"(slot {slot} > {SLOT_LIMIT})")
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,8 @@ class PartialFn:
 
     @cached_property
     def raw_code(self) -> int:
-        if self.entries and self.slots[-1] > SLOT_LIMIT:
-            raise ValueError(
-                "entry slot exceeds the representable range "
-                f"(slot {self.slots[-1]} > {SLOT_LIMIT})")
+        if self.entries:
+            _check_slot(self.slots[-1])
         code = 0
         for s in self.slots:
             code |= 1 << s
@@ -137,55 +139,52 @@ def _diagonal(bound: int) -> tuple[int, int]:
     return w, bound - w * (w + 1) // 2
 
 
-def _group_counts(w: int, k: int) -> list[int]:
-    """Slots below the bound w(w+1)/2 + k, 0 <= k <= w + 1, of each group
-    g = 0, 1, ..., w: one per full diagonal from g up, one more if g is in
-    w, w-1, ..., w-k+1."""
-    return [*range(w, k - 1, -1), *range(k, 0, -1)]
-
-
 def count_functional_below(bit_bound: int) -> int:
     """Functional raw codes whose slots all lie below bit_bound."""
     w, k = _diagonal(max(bit_bound, 0))
     return math.factorial(w + 1) * (k + 1)
 
 
-def _walk_start(m: int) -> tuple[int, list[int], int]:
-    """(p, counts, total) before the walk of the m-th code, m >= 0: p is the
-    least bound whose count exceeds m, which is the code's bit length."""
+def _walk_start(m: int) -> tuple[int, int, int]:
+    """(w, k, total) before the walk of the m-th code, m >= 0: the least
+    bound w(w+1)/2 + k, 0 <= k <= w + 1, whose count total = (w+1)!(k+1)
+    exceeds m, which is the code's bit length."""
     w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
     while f * (w + 2) <= m:
         w += 1
         f *= w + 1
-    k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
-    return w * (w + 1) // 2 + k, _group_counts(w, k), f * (k + 1)
+    k = m // f
+    return w, k, f * (k + 1)
 
 
 def _unrank_walk(m: int) -> list[tuple[int, int, int]]:
     """(position, group, value) of each slot of the m-th functional code, top
-    down, by one walk.  `total` counts the functional codes with all slots
-    below position p and no group used yet; `counts[g]` is group g's slots
-    below p (0 once used).  Passing a free group's slot changes one factor
-    of that product."""
+    down, by one walk of the positions below its bit length, a diagonal at a
+    time: diagonal d holds group g's slot (g, d - g) at position
+    d(d+3)/2 - g, from g = 0 at its top.  `total` counts the functional codes
+    with all slots below the walk's position and no group used yet; a free
+    group meets its slot (g, v) with v + 1 slots at or below it, so passing
+    the slot turns its factor v + 2 of that product into v + 1."""
     if m < 0:
         raise ValueError("index must be >= 0")
-    p, counts, total = _walk_start(m)
-    slots = []
-    g, v = cantor_unpair(p)  # the slot one above the walk's first position
-    while m:
-        p -= 1
-        g, v = (g + 1, v - 1) if v else (0, g - 1)
-        c = counts[g]
-        if not c:
-            continue
-        total = total // (c + 1) * c
-        if m >= total:  # all `total` codes that leave p clear precede m: set p
-            m -= total
-            slots.append((p, g, v))
-            total //= c
-            counts[g] = 0
-        else:
-            counts[g] = c - 1
+    w, k, total = _walk_start(m)
+    slots: list[tuple[int, int, int]] = []
+    used = set()
+    first = w - k + 1  # diagonal w is walked below the bound only
+    for d in range(w, -1, -1):
+        for g in range(first, d + 1):
+            if g in used:
+                continue
+            v = d - g
+            total = total // (v + 2) * (v + 1)
+            if m >= total:  # the `total` codes leaving the slot clear precede m
+                m -= total
+                slots.append((d * (d + 3) // 2 - g, g, v))
+                if not m:
+                    return slots
+                total //= v + 1
+                used.add(g)
+        first = 0
     return slots
 
 
@@ -204,7 +203,11 @@ _SEGMENT_BITS = 30
 
 def _build_cache(bits: int) -> list[int]:
     values = [0]
-    for q, count in enumerate(_group_counts(*_diagonal(bits))):
+    w, k = _diagonal(bits)
+    for q in range(w + 1):
+        # group q's slots below bits: one per full diagonal from q up, one
+        # more on diagonal w if q > w - k
+        count = w - q + (q > w - k)
         opts = [0] + [1 << cantor_pair(q, v) for v in range(count)]
         values = [base + o for base in values for o in opts]
     values.sort()
@@ -231,11 +234,8 @@ def raw_code_of_index(m: int) -> int:
 def index_of_raw_code(raw: int) -> int:
     """Count of functional raw codes strictly below `raw`.
 
-    For a functional `raw` this is exactly its enumeration index.  For each
-    set slot s, from the top, it counts the codes that agree with raw above
-    s and leave s clear, i.e. the count below s over the factors of the
-    groups used above s.  A non-functional `raw` stops at its first repeated
-    group.
+    For a functional `raw` this is exactly its enumeration index.  A
+    non-functional `raw` stops at its first repeated group (_rank_below).
     """
     if raw < 0:
         raise ValueError("raw codes are non-negative")
@@ -243,23 +243,38 @@ def index_of_raw_code(raw: int) -> int:
         raise ValueError(
             f"raw code has a slot beyond {SLOT_LIMIT}; its index is "
             "astronomically large and not representable here")
-    return _rank_below(raw, [])
+    return _rank_below(_raw_pairs(raw), [])
 
 
-def _rank_below(raw: int, used: list[int]) -> int:
-    """index_of_raw_code's sum over raw's slots, top down, when the groups in
-    `used` (extended in place) are already taken by slots above them all."""
-    total = 0
+def _raw_pairs(raw: int) -> Iterator[tuple[int, int]]:
+    """(diagonal, offset) of each set bit of raw, top down."""
     while raw:
         s = raw.bit_length() - 1
         raw ^= 1 << s
-        w, k = _diagonal(s)
+        yield _diagonal(s)
+
+
+def _slot_pairs(fn: PartialFn) -> list[tuple[int, int]]:
+    """(diagonal, offset) of each of fn's slots, top down: entry (a, b, i, v)
+    is slot v of diagonal point_code(a, b, i) + v."""
+    return sorted(((point_code(a, b, i) + v, v) for a, b, i, v in fn.entries),
+                  reverse=True)
+
+
+def _rank_below(pairs: Iterable[tuple[int, int]], used: list[int]) -> int:
+    """Count of the functional codes below the code whose slots are `pairs`,
+    (diagonal, offset) top down, when the groups in `used` (extended in
+    place) are taken by slots above them all: per slot k of diagonal w, of
+    group w - k, the (w+1)!(k+1) codes below it over the factors of the used
+    groups.  It stops at a group used twice."""
+    total = 0
+    for w, k in pairs:
         used_factors = 1
         for u in used:
-            if u <= w:  # groups past w have no slot below s
+            if u <= w:  # groups past w have no slot below this one
                 used_factors *= w + 1 - u + (u > w - k)
         total += math.factorial(w + 1) * (k + 1) // used_factors
-        if w - k in used:  # slot s is the k-th of diagonal w: group w - k
+        if w - k in used:
             break
         used.append(w - k)
     return total
@@ -280,9 +295,13 @@ def nth_partial_fn(m: int) -> PartialFn:
 
 
 def partial_fn_index(fn: PartialFn) -> int:
-    """Inverse of nth_partial_fn.  Refuses, like `PartialFn.raw_code`, a
-    function with an entry slot past SLOT_LIMIT."""
-    return index_of_raw_code(fn.raw_code)
+    """Inverse of nth_partial_fn, ranked from fn's slots.  Refuses, like
+    `PartialFn.raw_code`, a function with an entry slot past SLOT_LIMIT."""
+    pairs = _slot_pairs(fn)
+    if pairs:
+        d, v = pairs[0]
+        _check_slot(d * (d + 1) // 2 + v)
+    return _rank_below(pairs, [])
 
 
 # --- density and extension search --------------------------------------------
@@ -356,54 +375,59 @@ def _least_extension(probe: PartialFn, above: int, search_bound: int,
 
 def _next_extension(probe: PartialFn, above: int) -> int:
     """Index of the least code past the `above`-th code `low` that holds the
-    probe's code `mask`, by one top-down walk of `low`'s digits.
+    probe's slots, by one top-down walk of `low`'s digits, a diagonal at a
+    time as in _unrank_walk.
 
-    The answer agrees with `low` above the lowest admissible position p,
-    sets p, and below p holds only mask's slots.  p is admissible when `low`
-    has it clear and its group is used neither by `low` above p (`counts` 0)
-    nor by mask below p (`rest`); the first position at or past `low`'s bit
-    length whose group is not in `rest` is.  The walk stops at the first
-    slot of mask that `low` lacks, or at a slot of `low` whose group mask
-    uses lower down.  The walk's remainder r at p counts the codes below
-    `low` that agree with it above p, so the answer ranks at above - r plus
-    the counts of p and of mask's slots below it.
+    The answer agrees with `low` above its lowest admissible slot `best`,
+    sets it, and below it holds only the probe's slots.  A slot is
+    admissible when `low` has it clear and its group is used neither by
+    `low` above it (`kept`) nor by the probe below it (`rest`, the probe's
+    value of each such group); the first slot at or past `low`'s bit length
+    whose group is not in `rest` is.  The walk stops at the first probe slot
+    that `low` lacks, or at a slot of `low` whose group the probe uses lower
+    down.  The walk's remainder r at `best` counts the codes below `low`
+    that agree with it above `best`, so the answer ranks at above - r plus
+    the counts of `best` and of the probe's slots below it.
     """
-    mask = probe.raw_code
+    pairs = _slot_pairs(probe)
     if above < 0:
-        return _rank_below(mask, [])
-    top, counts, total = _walk_start(above)
-    if probe.slots[-1] >= top:  # mask lies above `low`: it is the answer
-        return _rank_below(mask, [])
-    rest = {_slot_group(s) for s in probe.slots}
-    best = top
-    while _slot_group(best) in rest:
-        best += 1
-    r, m, kept, used = above, above, [], 0
-    g, v = cantor_unpair(top)
-    for p in range(top - 1, -1, -1):
-        g, v = (g + 1, v - 1) if v else (0, g - 1)
-        in_mask = mask >> p & 1
-        if in_mask:
-            rest.discard(g)
-        # a free group counts p itself, also once the walk (m) has ended
-        c = counts[g]
-        if c and m:
-            total = total // (c + 1) * c
-            if m >= total:  # `low` holds slot p
-                m -= total
-                total //= c
-                counts[g] = 0
-                if g in rest:
-                    break
-                kept.append(g)
-                continue
-            counts[g] = c - 1
-        if c and (in_mask or g not in rest):
-            best, r, used = p, m, len(kept)
-        if in_mask:
-            break
-    bit = 1 << best
-    return above - r + _rank_below(bit | (mask & (bit - 1)), kept[:used])
+        return _rank_below(pairs, [])
+    w, k, total = _walk_start(above)
+    if pairs[0] >= (w, k):  # the probe lies above `low`: it is the answer
+        return _rank_below(pairs, [])
+    rest = {d - v: v for d, v in pairs}
+    d, v = (w, k) if k <= w else (w + 1, 0)
+    while d - v in rest:
+        d, v = (d, v + 1) if v < d else (d + 1, 0)
+    best, r, m, kept, used = (d, v), above, above, [], 0
+    first = w - k + 1
+    for d in range(w, -1, -1):
+        for g in range(first, d + 1):
+            v = d - g
+            in_probe = rest.get(g) == v
+            if in_probe:
+                del rest[g]
+            free = g not in kept
+            # a free group counts its slot, also once the walk (m) has ended
+            if free and m:
+                total = total // (v + 2) * (v + 1)
+                if m >= total:  # `low` holds slot (d, v)
+                    m -= total
+                    total //= v + 1
+                    if g in rest:
+                        break
+                    kept.append(g)
+                    continue
+            if free and (in_probe or g not in rest):
+                best, r, used = (d, v), m, len(kept)
+            if in_probe:
+                break
+        else:
+            first = 0
+            continue
+        break  # the walk stopped inside diagonal d
+    return above - r + _rank_below([best, *(q for q in pairs if q < best)],
+                                   kept[:used])
 
 
 def _least_member_extension(probe: PartialFn, data: bytes,

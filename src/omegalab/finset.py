@@ -23,8 +23,8 @@ they AND intersections, not combinations: the same prefix walk gives
 sum_{j<=d} C(k,j) index sets T with |T| <= d (|A_()| = n, with no mask of
 the universe built), and each combination's size follows by subtraction,
 |P, Q + x| = |P, Q| - |P + x, Q|: per T one Moebius butterfly over the 2^|T|
-splits of T into pos and neg (Knuth, TAOCP 4A, 7.1.3).  They still pass
-_check_universe, so they refuse the same universes as before.
+splits of T into pos and neg (Knuth, TAOCP 4A, 7.1.3).  They read n only
+as |A_()|, so they answer at any universe size.
 """
 
 from __future__ import annotations
@@ -287,7 +287,6 @@ def _intersection_sizes(family: Family, depth: int) -> dict[int, int]:
     # |A_T| for every index set T with |T| <= depth, keyed by T as a bitmask
     # over the family's indices
     _check_depth(family, depth)
-    _check_universe(family.n)
     masks = [s.mask for s in family.sets]
     chosen: list[int] = []
     # base -1 ANDs to each set unchanged; the empty T's size is n itself

@@ -6,16 +6,21 @@ would, and pins the documented exit statuses: 0 pass, 1 violation,
 74 other I/O failure.
 """
 
+import contextlib
 import hashlib
 import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 from omegalab import cli, diag
-from omegalab.jsonio import write_json
+from omegalab.codec import (SLOT_LIMIT, cantor_unpair, count_functional_below,
+                            entry_slot, index_of_raw_code)
+from omegalab.config import ExperimentConfig
+from omegalab.jsonio import canonical_dumps, write_json
 
 SMOKE_CONFIG = {"K": 2, "N": 4096, "Ma": 8, "Mk": 8, "V": 1, "t": 2, "d": 2,
                 "q": 2, "probe_bound": 2, "search_bound": 4096, "samples": 5,
@@ -25,6 +30,20 @@ SMOKE_CONFIG = {"K": 2, "N": 4096, "Ma": 8, "Mk": 8, "V": 1, "t": 2, "d": 2,
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "omegalab", *args],
                           capture_output=True, text=True)
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    # lets this process convert the long indices it compares, where Python
+    # limits int-to-str conversion
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def zero_grid_obj(rows=4, cols=4):
@@ -65,6 +84,40 @@ class TestRho:
         write_json(str(fn_file), {"entries": [[10 ** 8, 0, 0, 0]]})
         res = run_cli("rho-index", str(fn_file))
         assert res.returncode == 65
+
+    def test_index_past_the_int_str_limit(self, workdir):
+        # slot 1 412 040 lies below SLOT_LIMIT; its index has 4 695 digits
+        fn_file = workdir / "fn.json"
+        write_json(str(fn_file), {"entries": [[20, 20, 0, 0]]})
+        res = run_cli("rho-index", str(fn_file))
+        assert res.returncode == 0, res.stderr
+        expected = index_of_raw_code(1 << entry_slot(20, 20, 0, 0))
+        with no_int_str_limit():
+            assert int(res.stdout) == expected
+            assert len(str(expected)) == 4695
+
+    def test_largest_admitted_slot_prints_fast(self, workdir, capsys):
+        # a one-entry function at slot SLOT_LIMIT ranks at the count of the
+        # codes below that slot, a 14 389-digit index
+        code, v = cantor_unpair(SLOT_LIMIT)
+        a, b = cantor_unpair(code >> 1)
+        assert entry_slot(a, b, code & 1, v) == SLOT_LIMIT
+        fn_file = workdir / "fn.json"
+        write_json(str(fn_file), {"entries": [[a, b, code & 1, v]]})
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        started = time.perf_counter()
+        assert cli.main(["rho-index", str(fn_file)]) == 0
+        assert time.perf_counter() - started < 1.0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with no_int_str_limit():
+            assert int(capsys.readouterr().out) == \
+                count_functional_below(SLOT_LIMIT)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str limit in this Python")
+    def test_rho_refuses_an_index_past_the_int_str_limit(self):
+        # decoding such an index walks O(w^2) positions: not lifted here
+        assert run_cli("rho", "1" * 4301).returncode == 64
 
     def test_bad_json_is_data_error(self, workdir):
         bad = workdir / "bad.json"
@@ -456,10 +509,14 @@ class TestUniverseCap:
         assert "past the cap" in res.stderr
 
     def test_check_indep(self, workdir):
+        # the size scan reads N only as the size of the empty intersection
         fam = workdir / "fam.json"
         write_json(str(fam), {"N": self.HUGE, "sets": [[0], [1]]})
-        self.assert_refused(run_cli_capped("check-indep", "--family",
-                                           str(fam), "--t", "1"))
+        res = run_cli_capped("check-indep", "--family", str(fam), "--t", "1")
+        assert res.returncode == 1, res.stderr
+        assert json.loads(res.stdout) == {
+            "d": 2, "failing": {"pos": [0, 1], "neg": []}, "ok": False,
+            "size_found": 0, "t": 1}
 
     def test_check_saturation(self, workdir):
         fam = workdir / "fam.json"
@@ -476,10 +533,16 @@ class TestUniverseCap:
         assert res.returncode == 65 and "2^k <= n" in res.stderr
 
     def test_diag_experiment(self, workdir):
+        # builds, independence, density and sampling all run without a mask
+        # of the universe: the report is the in-process one, degraded
         cfg = workdir / "config.json"
         write_json(str(cfg), dict(SMOKE_CONFIG, N=self.HUGE))
-        self.assert_refused(run_cli_capped("diag-experiment", "--config",
-                                           str(cfg)))
+        res = run_cli_capped("diag-experiment", "--config", str(cfg))
+        assert res.returncode == 2, res.stderr
+        config = ExperimentConfig.from_json_obj(
+            dict(SMOKE_CONFIG, N=self.HUGE))
+        assert res.stdout == canonical_dumps(
+            diag.run_pipeline(config).to_json_obj())
 
     @pytest.mark.parametrize("n, member", [
         (10 ** 30, 10 ** 29),    # the byte buffer's size overflows an index

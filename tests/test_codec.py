@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from omegalab import codec
 from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
-                            _member_bytes, _next_member, _slot_group,
+                            _member_bytes, _next_member,
                             _unrank, cantor_pair,
                             cantor_unpair, check_dense,
                             count_functional_below, entry_slot,
@@ -424,6 +424,11 @@ class TestLeastExtensionIndex:
 TABLE_30 = _build_cache(30)  # every functional code with slots below 30
 
 
+def _slot_group(slot: int) -> int:
+    # the point code this slot describes
+    return cantor_unpair(slot)[0]
+
+
 def _next_superset(mask: int, low: int) -> int:
     """Least functional raw code above the functional code `low` that
     contains the functional code `mask`.
@@ -629,6 +634,109 @@ class TestCountingPath:
         probe = PartialFn.from_entries([(3, 0, 0, 0)])
         assert probe.slots[-1] >= raw_code_of_index(120_960).bit_length()
         assert least_extension_index(probe, -1, 120_960) is None
+
+
+# --- the position walk and raw-code rank, as oracles --------------------------
+# The unranking walk that stepped through every bit position below its
+# answer's top slot, and the rank that peeled a raw code's bits with one
+# isqrt each, as they were before the diagonal walk and the slot rank
+# replaced them.
+
+def position_walk_start(m):
+    w, f = 0, 1  # f = (w+1)! <= m < (w+2)!, unless m == 0
+    while f * (w + 2) <= m:
+        w += 1
+        f *= w + 1
+    k = m // f  # least bound w(w+1)/2 + k whose count (w+1)!(k+1) exceeds m
+    counts = [*range(w, k - 1, -1), *range(k, 0, -1)]
+    return w * (w + 1) // 2 + k, counts, f * (k + 1)
+
+
+def position_unrank_walk(m):
+    p, counts, total = position_walk_start(m)
+    slots = []
+    g, v = cantor_unpair(p)  # the slot one above the walk's first position
+    while m:
+        p -= 1
+        g, v = (g + 1, v - 1) if v else (0, g - 1)
+        c = counts[g]
+        if not c:
+            continue
+        total = total // (c + 1) * c
+        if m >= total:  # all `total` codes that leave p clear precede m: set p
+            m -= total
+            slots.append((p, g, v))
+            total //= c
+            counts[g] = 0
+        else:
+            counts[g] = c - 1
+    return slots
+
+
+def raw_rank_below(raw, used):
+    total = 0
+    while raw:
+        s = raw.bit_length() - 1
+        raw ^= 1 << s
+        w = (math.isqrt(8 * s + 1) - 1) // 2
+        k = s - w * (w + 1) // 2
+        used_factors = 1
+        for u in used:
+            if u <= w:  # groups past w have no slot below s
+                used_factors *= w + 1 - u + (u > w - k)
+        total += math.factorial(w + 1) * (k + 1) // used_factors
+        if w - k in used:  # slot s is the k-th of diagonal w: group w - k
+            break
+        used.append(w - k)
+    return total
+
+
+def _factorial_boundary(w, k, delta):
+    # (w+1)! k + delta: where the walk's start moves to the next bound
+    return max(math.factorial(w + 1) * k + delta, 0)
+
+
+ORACLE_INDICES = st.one_of(
+    st.integers(0, (1 << 20) - 1),  # the pipeline's range
+    st.integers(0, 56).flatmap(lambda w: st.builds(
+        _factorial_boundary, st.just(w), st.integers(1, w + 1),
+        st.sampled_from((-1, 0, 1)))),
+    st.integers(0, 10 ** 80))
+
+
+class TestWalksAgainstOracles:
+    @given(ORACLE_INDICES)
+    @settings(max_examples=400, deadline=None)
+    def test_diagonal_walk_equals_position_walk(self, m):
+        slots = position_unrank_walk(m)
+        assert codec._unrank_walk(m) == slots
+        fn = nth_partial_fn(m)
+        assert fn.entries == tuple((*point_decode(g), v) for g, v in
+                                   sorted((g, v) for _, g, v in slots))
+        raw = sum(1 << p for p, _, _ in slots)
+        assert partial_fn_index(fn) == raw_rank_below(raw, []) == m
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20),
+                              st.integers(0, 1), st.integers(0, 40)),
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_slot_rank_equals_raw_rank(self, entries):
+        # functions no walk made: entries clash, so keep the first per point
+        points = {}
+        for a, b, i, v in entries:
+            points.setdefault((a, b, i), v)
+        fn = PartialFn.from_entries((*p, v) for p, v in points.items())
+        assert partial_fn_index(fn) == raw_rank_below(fn.raw_code, [])
+
+    @given(st.one_of(
+        st.integers(0, (1 << 2000) - 1),
+        st.lists(st.integers(0, 3000), max_size=40).map(
+            lambda bits: sum(1 << b for b in set(bits)))))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_of_any_raw_code_equals_raw_rank(self, raw):
+        # most of these codes are not functional: the count stops at the
+        # first repeated group, as before
+        assert index_of_raw_code(raw) == raw_rank_below(raw, [])
 
 
 def merge_least_member_extension(probe, members, above, bound, excluded):

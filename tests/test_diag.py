@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            run_pipeline, verify_catch)
 from omegalab.errors import GridOverflow
 from omegalab.extender import Permutation
+from omegalab.finset import bit_family
 from omegalab.generic import Condition, TargetGrid
 
 ZERO_GRID = TargetGrid.constant(4, 4)
@@ -194,6 +196,47 @@ class TestVerifyCatch:
         rep = verify_catch(Condition((0, 3), ZERO_GRID),
                            Permutation.identity(16))
         assert rep.ok and rep.up_cases == () and rep.down_cases == ()
+
+    def test_cases_are_the_pairs_the_permutation_relates(self):
+        # chains that build_generic builds on small grids, against every
+        # permutation of their 5-7 points: each chain element sent to
+        # another chain element is one case, and every case is caught
+        rng = random.Random(13)
+        chains = set()
+        for n in (5, 6, 7):
+            for _ in range(12):
+                grid = TargetGrid.random(rng.randint(1, 3), rng.randint(1, 3),
+                                         rng.randint(1, 2), rng)
+                schedule = generic.auto_schedule(1, rng.randint(1, 3))
+                run = generic.build_generic([bit_family(1, n)], grid,
+                                            schedule, n)
+                chains.add((n, run.condition))
+        assert {c.elements for _, c in chains} >= {(0, 3), (0, 5)}
+        cases = 0
+        for n in (5, 6, 7):
+            perms = [Permutation(n, p) for p in itertools.permutations(range(n))]
+            for cond in [c for size, c in chains if size == n]:
+                for perm in perms:
+                    rep = verify_catch(cond, perm)
+                    related = sum(perm.apply(x) != x
+                                  and perm.apply(x) in cond.elements
+                                  for x in cond.elements)
+                    assert rep.ok
+                    assert len(rep.up_cases) + len(rep.down_cases) == related
+                    cases += related
+        assert cases > 0
+
+    def test_a_chain_that_is_no_condition_is_caught(self):
+        # (0, 1) fails is_condition: function 1 has no layer-1 entry in row
+        # 0.  Handed in past Condition's validation, some permutation of 4
+        # points relates the pair, and the check catches that row
+        assert not generic.is_condition((0, 1), ZERO_GRID).ok
+        cond = object.__new__(Condition)
+        object.__setattr__(cond, "elements", (0, 1))
+        object.__setattr__(cond, "grid", ZERO_GRID)
+        failures = {f for p in itertools.permutations(range(4))
+                    for f in verify_catch(cond, Permutation(4, p)).failures}
+        assert failures == {(0, 1, 1)}
 
 
 class TestLazyPermutation:

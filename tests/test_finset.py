@@ -187,10 +187,10 @@ class TestUniverseCap:
             FinSet.from_members(n, [0, member])
 
     def test_whole_universe_checks_refuse(self):
+        # the size checks build no universe: TestCombinationScan runs them
+        # past the cap
         fam = Family.from_lists(self.HUGE, [[0], [1]])
-        for check in (lambda: is_independent(fam, 1, 2),
-                      lambda: min_combination_size(fam, 1),
-                      lambda: boolean_combination(fam, CombinationSpec((0,))),
+        for check in (lambda: boolean_combination(fam, CombinationSpec((0,))),
                       lambda: bit_family(2, self.HUGE),
                       lambda: is_saturated(fam, 1)):
             with pytest.raises(ValueError, match="past the cap"):
@@ -317,6 +317,32 @@ class TestCombinationScan:
         depth = data.draw(st.integers(0, 4))
         threshold = data.draw(st.integers(1, n + 1))
         self.assert_equal_spec_by_spec_loop(family, depth, threshold)
+
+    @given(st.lists(st.sets(st.integers(0, 200), max_size=30), max_size=5),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_equal_mask_counts_at_any_universe(self, members, data):
+        # the oracle sizes each spec's combination_mask on its own: a
+        # co-finite mask M (no pos set) holds n - popcount(~M) points, so at
+        # n = 10^12 no mask of the universe is built on either side
+        n = data.draw(st.sampled_from((201, 10 ** 12)))
+        family = Family.from_lists(n, [sorted(s) for s in members])
+        depth = data.draw(st.integers(0, len(family.sets)))
+        threshold = data.draw(st.one_of(st.integers(1, 202),
+                                        st.integers(max(n - 250, 1), n + 1)))
+        sizes = []
+        for spec in combination_specs(len(family.sets), depth):
+            mask = combination_mask(family, spec)
+            sizes.append((spec, mask.bit_count() if mask >= 0
+                          else n - (~mask).bit_count()))
+        smallest = min(size for _, size in sizes)
+        failing = next(((spec, size) for spec, size in sizes
+                        if size < threshold), None)
+        expected = IndependenceReport(True, None, smallest, threshold, depth) \
+            if failing is None else \
+            IndependenceReport(False, *failing, threshold, depth)
+        assert is_independent(family, threshold, depth) == expected
+        assert min_combination_size(family, depth) == smallest
 
     def test_reports_pinned(self):
         # 300 seeded families (n 1-70, k <= 7, empty and full sets drawn
