@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Any, Optional, Sequence
 
@@ -48,10 +49,16 @@ class _UsageError(Exception):
     pass
 
 
+# an argument argparse refused, as it quotes it: past 40 characters the
+# usage line gives its head and length, so the line does not grow with it
+_LONG_QUOTED = re.compile(r"'([^']{41,})'")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2); the exit-status contract wants 64
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(_LONG_QUOTED.sub(
+            lambda q: f"'{q[1][:20]}...' ({len(q[1])} characters)", message))
 
 
 def _say(line: str) -> None:
@@ -271,10 +278,14 @@ def _cmd_diag_experiment(args) -> int:
         _say(f"density: PASS (probes: {dens.probe_bound})")
     else:
         _say(f"density: {_failing_probe(dens)}")
-    verdict = "PASS" if report.sampling.violations == 0 else "FAIL"
-    _say(f"theorem-shadow: {verdict} (π samples: {report.sampling.samples}, "
-         f"violations: {report.sampling.violations})")
-    if report.sampling.violations > 0:
+    sampling = report.sampling
+    cases = sampling.up_checked + sampling.down_checked
+    # a pass over no capture case checked nothing: say so
+    verdict = ("FAIL" if sampling.violations
+               else "PASS" if cases else "PASS, vacuous")
+    _say(f"theorem-shadow: {verdict} (π samples: {sampling.samples}, "
+         f"cases checked: {cases}, violations: {sampling.violations})")
+    if sampling.violations > 0:
         return EX_VIOLATION
     if report.degraded:
         return EX_DEGRADED

@@ -15,22 +15,29 @@ the product over groups of (1 + the group's slots below it), which is
 positions below its answer's top slot once, a diagonal at a time: diagonal d
 holds slot d - g of each group g <= d, so a free group's slots at or below
 it are known, and the product changes by one exact division and
-multiplication per free slot: O(bits) big-integer steps.  Ranking reads a
-function's slots, entry (a, b, i, v) as slot v of diagonal point_code(a, b,
-i) + v, and builds no raw code: k closed-form counts for k entries, each
-divided by the factors of the groups used above it, O(k^2) small steps,
-k = O(sqrt(bits)).  The least extension of a probe past an index is found in
-one top-down pass that walks the index's digits as unranking does and picks
-the answer's deviation slot in the same step; its rank is the index less the
-walk's remainder there, plus the closed-form counts of the few slots below
-it.  The search bound is compared only with that rank.
-nth_partial_fn builds its function from the walk's (group, value) pairs
-without re-validating them: the walk yields a functional code by
-construction.  Every search runs within a member mask: it reads the mask
-once as its signed little-endian bytes and leapfrogs its members (each
-found by a C-level byte search) with the probe's extensions, so no member
-is decoded.  A negative mask is co-finite: past its bytes every index is a
-member, so -1 (the default) is every index and ~U every index outside U.
+multiplication per free slot: O(bits) big-integer steps.
+
+A PartialFn is stored as its (point code, value) pairs sorted by point code,
+the codec's native form: group g of the enumeration is point code g, and its
+slot v is the function's value v there.  Its entries (a, b, i, value), its
+slots and its raw code are views, read from those pairs on first use.
+nth_partial_fn keeps the walk's (group, value) pairs and computes no entry;
+it does not re-validate them, since the walk yields a functional code by
+construction.  Ranking reads the pairs, point code c with value v as slot v
+of diagonal c + v, and builds no raw code: k closed-form counts for k
+entries, each divided by the factors of the groups used above it, O(k^2)
+small steps, k = O(sqrt(bits)).
+
+The least extension of a probe past an index is found in one top-down pass
+that walks the index's digits as unranking does and picks the answer's
+deviation slot in the same step; its rank is the index less the walk's
+remainder there, plus the closed-form counts of the few slots below it.  The
+search bound is compared only with that rank.  Every search runs within a
+member mask: it reads the mask once as its signed little-endian bytes and
+leapfrogs its members (each found by a C-level byte search) with the probe's
+extensions, so no member is decoded.  A negative mask is co-finite: past its
+bytes every index is a member, so -1 (the default) is every index and ~U
+every index outside U.
 `raw_code_of_index` reads its first 120 960 answers (every code with all
 slots below bit 30) from a sorted table built on first use, about 7 MB, so
 callers that scan many consecutive small indices pay O(1) per lookup; every
@@ -74,15 +81,16 @@ def _check_slot(slot: int) -> None:
                          f"(slot {slot} > {SLOT_LIMIT})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PartialFn:
-    """A finite partial function, entries (a, b, i, value) sorted by point code."""
+    """A finite partial function, stored as its (point code, value) pairs
+    sorted by point code; its entries (a, b, i, value) come in that order."""
 
-    entries: tuple[tuple[int, int, int, int], ...]
+    points: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_entries(cls, entries: Iterable[Sequence[int]]) -> "PartialFn":
-        rows = []
+        points = []
         seen = set()
         for e in entries:
             a, b, i, v = map(int, e)
@@ -92,9 +100,18 @@ class PartialFn:
             if code in seen:
                 raise ValueError(f"two values for point {(a, b, i)}")
             seen.add(code)
-            rows.append((code, (a, b, i, v)))
-        rows.sort()
-        return cls(tuple(r[1] for r in rows))
+            points.append((code, v))
+        points.sort()
+        return cls(tuple(points))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, i, value) per point: code c is point_code's inverse,
+        (a, b) = cantor_unpair(c >> 1) and i = c & 1."""
+        return tuple((*cantor_unpair(c >> 1), c & 1, v) for c, v in self.points)
+
+    def __repr__(self) -> str:
+        return f"PartialFn(entries={self.entries!r})"
 
     @cached_property
     def _by_point(self) -> dict[tuple[int, int, int], int]:
@@ -108,11 +125,11 @@ class PartialFn:
 
     @cached_property
     def slots(self) -> tuple[int, ...]:
-        return tuple(sorted(entry_slot(a, b, i, v) for a, b, i, v in self.entries))
+        return tuple(sorted(cantor_pair(c, v) for c, v in self.points))
 
     @cached_property
     def raw_code(self) -> int:
-        if self.entries:
+        if self.points:
             _check_slot(self.slots[-1])
         code = 0
         for s in self.slots:
@@ -121,10 +138,10 @@ class PartialFn:
 
     def extends(self, smaller: "PartialFn") -> bool:
         """True when every entry of `smaller` appears identically here."""
-        return set(smaller.slots) <= set(self.slots)
+        return set(smaller.points) <= set(self.points)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.points)
 
 
 EMPTY_FN = PartialFn(())
@@ -255,10 +272,9 @@ def _raw_pairs(raw: int) -> Iterator[tuple[int, int]]:
 
 
 def _slot_pairs(fn: PartialFn) -> list[tuple[int, int]]:
-    """(diagonal, offset) of each of fn's slots, top down: entry (a, b, i, v)
-    is slot v of diagonal point_code(a, b, i) + v."""
-    return sorted(((point_code(a, b, i) + v, v) for a, b, i, v in fn.entries),
-                  reverse=True)
+    """(diagonal, offset) of each of fn's slots, top down: point code c with
+    value v is slot v of diagonal c + v."""
+    return sorted(((c + v, v) for c, v in fn.points), reverse=True)
 
 
 def _rank_below(pairs: Iterable[tuple[int, int]], used: list[int]) -> int:
@@ -282,16 +298,10 @@ def _rank_below(pairs: Iterable[tuple[int, int]], used: list[int]) -> int:
 
 def nth_partial_fn(m: int) -> PartialFn:
     """The m-th partial function in the canonical enumeration, built straight
-    from the walk: its groups are distinct point codes, so sorting by group
-    gives the entry order and nothing needs checking again.  Each group g is
-    point_code's inverse: (a, b) = cantor_unpair(g >> 1), i = g & 1."""
-    entries = []
-    for g, v in sorted((g, v) for _, g, v in _unrank_walk(m)):
-        q = g >> 1
-        w = (math.isqrt(8 * q + 1) - 1) // 2
-        b = q - w * (w + 1) // 2
-        entries.append((w - b, b, g & 1, v))
-    return PartialFn(tuple(entries))
+    from the walk: its groups are distinct point codes, so the walk's (group,
+    value) pairs sorted by group are the function's points, and nothing needs
+    checking again."""
+    return PartialFn(tuple(sorted([(g, v) for _, g, v in _unrank_walk(m)])))
 
 
 def partial_fn_index(fn: PartialFn) -> int:
@@ -354,7 +364,7 @@ def _least_extension(probe: PartialFn, above: int, search_bound: int,
     """The counting search of least_extension_index, every index a member."""
     if above >= search_bound - 1:
         return None  # no index lies strictly between the two
-    if not probe.entries:
+    if not probe.points:
         n = above + 1 if above >= 0 else 0
         while n in excluded:
             n += 1

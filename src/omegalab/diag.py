@@ -7,8 +7,9 @@ grid pairwise, every pi-related pair inside A is caught by that induced
 function somewhere in the earlier row — verify_catch checks this exactly, and
 run_pipeline samples it at scale.
 
-grid_fn_from_perm decodes only the indices that can reach their row (a counted
-cutoff; at desk scale rows 0-2, the reachability wall).  verify_catch takes
+grid_fn_from_perm decodes only the indices that can reach their row (a cutoff
+in closed form; at desk scale rows 0-2, the reachability wall), and keeps the
+decoded (point code, value) pairs that fall in the row.  verify_catch takes
 the set as a generic.Condition, which checked the pairwise match against its
 grid when it was made, so no sample checks that precondition again.
 """
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import factorial
 from typing import Any, Iterable, NamedTuple, Optional, Protocol
 
-from .codec import (PartialFn, count_functional_below, entry_slot,
-                    nth_partial_fn)
+from .codec import PartialFn, cantor_unpair, nth_partial_fn
 from .config import GRID_TAG, PERM_TAG, ExperimentConfig, child_seed
 from .finset import Family, FinSet, IndependenceReport, is_independent
 from .generic import (ComboDensityReport, Condition, GenericRun, TargetGrid,
@@ -49,24 +50,35 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn
     Only indices that can reach their row are decoded.  Index j has all its
     slots below bit s exactly when j < count_functional_below(s), and every
     slot of row m on a layer is at least entry_slot(m, 0, layer, 0), so an
-    index below that count leaves the row empty.  These cutoffs rise with m
-    (1, 6, 5 040, about 6.2e9 on layer 0), and past the first one at or
+    index below that count leaves the row empty.  That slot opens diagonal
+    c = point_code(m, 0, layer) = m(m+1) + layer, so the count, the row's
+    cutoff, is (c+1)! = factorial(m(m+1) + layer + 1).  The cutoffs rise with
+    m (1, 6, 5 040, about 6.2e9 on layer 0), and past the first one at or
     above perm.n no row can be read at all.
+
+    Each decoded function gives its points in its own row and layer, below
+    cols, as they are; no two rows or layers share a point, so the result
+    needs no validation.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
-    entries = []
+    points = []
     for layer, index_of in ((0, perm.apply), (1, perm.inverse_apply)):
         cutoff = 0
         for m in range(rows):
             j = index_of(m)  # queried for every row, to keep the draws
+            low = m * (m + 1) + layer  # point_code(m, 0, layer)
             if cutoff < perm.n:  # once past n it stays past every j
-                cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
-            if j >= cutoff:
-                entries.extend((m, b, layer, v)
-                               for a, b, i, v in nth_partial_fn(j).entries
-                               if a == m and i == layer and b < cols)
-    return PartialFn.from_entries(entries)
+                cutoff = factorial(low + 1)
+            if j < cutoff:
+                continue
+            for c, v in nth_partial_fn(j).points:
+                if c >= low and c & 1 == layer:
+                    a, b = cantor_unpair(c >> 1)
+                    if a == m and b < cols:
+                        points.append((c, v))
+    points.sort()
+    return PartialFn(tuple(points))
 
 
 def moved_within(perm: PointPermutation, bound: int) -> tuple[int, ...]:
@@ -89,9 +101,9 @@ def case_split(perm: PointPermutation, members: Iterable[int]
 def matches(fn: PartialFn, target: TargetGrid) -> int:
     """How many points of the target the partial function gets right; its
     points outside the target do not count."""
+    rows, cols, values = target.rows, target.cols, target.values
     return sum(1 for m, k, i, v in fn.entries
-               if m < target.rows and k < target.cols
-               and v == target.value_at(m, k, i))
+               if m < rows and k < cols and v == values[(m * cols + k) * 2 + i])
 
 
 class CatchReport(NamedTuple):

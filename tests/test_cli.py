@@ -116,8 +116,22 @@ class TestRho:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str limit in this Python")
     def test_rho_refuses_an_index_past_the_int_str_limit(self):
-        # decoding such an index walks O(w^2) positions: not lifted here
-        assert run_cli("rho", "1" * 4301).returncode == 64
+        # decoding such an index walks O(w^2) positions: not lifted here.
+        # The usage line gives the argument's head and length, not all of it
+        res = run_cli("rho", "1" * 4301)
+        assert res.returncode == 64
+        assert len(res.stderr.encode()) < 200
+        assert res.stderr == ("usage error: argument m: invalid int value: "
+                              f"'{'1' * 20}...' (4301 characters)\n")
+
+    def test_long_refused_argument_is_cut_in_the_usage_line(self, capsys):
+        assert cli.main(["rho", "x" * 5000]) == 64
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert err.endswith("'xxxxxxxxxxxxxxxxxxxx...' (5000 characters)\n")
+        # a short one is echoed whole
+        assert cli.main(["rho", "x" * 40]) == 64
+        assert f"'{'x' * 40}'" in capsys.readouterr().err
 
     def test_bad_json_is_data_error(self, workdir):
         bad = workdir / "bad.json"
@@ -439,8 +453,9 @@ class TestDiagExperiment:
         write_json(str(cfg), SMOKE_CONFIG)
         res = run_cli("diag-experiment", "--config", str(cfg))
         assert res.returncode == 2  # builds hit the wall at this scale
-        assert ("theorem-shadow: PASS (π samples: 5, violations: 0)"
-                in res.stderr)
+        # no sampled permutation relates two chain elements here
+        assert ("theorem-shadow: PASS, vacuous (π samples: 5, "
+                "cases checked: 0, violations: 0)" in res.stderr)
         obj = json.loads(res.stdout)
         assert obj["degraded"] is True
         assert obj["sampling"]["violations"] == 0
@@ -477,6 +492,16 @@ class TestDiagExperiment:
         assert capsys.readouterr().err == f"invalid data: {message}\n"
         assert builds == []
 
+    def test_summary_counts_the_capture_cases(self, workdir, capsys):
+        # on 16 points the samples relate chain elements: a real pass
+        cfg = workdir / "config.json"
+        write_json(str(cfg), dict(SMOKE_CONFIG, N=16, search_bound=16,
+                                  samples=40))
+        assert cli.main(["diag-experiment", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "theorem-shadow: PASS (\u03c0 samples: 40, cases checked: 8, "
+            "violations: 0)\n")
+
     def test_rows_past_universe_without_samples_still_runs(self, workdir):
         # no sample reads the permutation, so rows past N stay legal
         cfg = workdir / "config.json"
@@ -485,7 +510,8 @@ class TestDiagExperiment:
         res = run_cli("diag-experiment", "--config", str(cfg))
         assert res.returncode == 2
         assert res.stderr.endswith(
-            "theorem-shadow: PASS (\u03c0 samples: 0, violations: 0)\n")
+            "theorem-shadow: PASS, vacuous (\u03c0 samples: 0, "
+            "cases checked: 0, violations: 0)\n")
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
             "52470593ef42578379ffcb833f42f8c5df32c1620e874ecebd80ad07457616e3")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -219,16 +220,60 @@ class TestRoundTrips:
         assert len(seen) == 5 ** 4
 
 
+def refusal(entries):
+    with pytest.raises(ValueError) as refused:
+        PartialFn.from_entries(entries)
+    return str(refused.value)
+
+
 class TestPartialFn:
+    # errors, reprs and frozenness as they were printed when a function
+    # stored its entries, before it stored its (point code, value) pairs
+    def test_repr_prints_entries(self):
+        assert repr(EMPTY_FN) == "PartialFn(entries=())"
+        assert repr(PartialFn.from_entries([(1, 2, 0, 5)])) == \
+            "PartialFn(entries=((1, 2, 0, 5),))"
+        assert repr(PartialFn.from_entries(
+            [(3, 1, 1, 7), (0, 0, 1, 0), (0, 0, 0, 0)])) == \
+            "PartialFn(entries=((0, 0, 0, 0), (0, 0, 1, 0), (3, 1, 1, 7)))"
+        assert repr(nth_partial_fn(5)) == \
+            "PartialFn(entries=((0, 0, 0, 1), (0, 0, 1, 0)))"
+
+    def test_equal_functions_hash_equal(self):
+        entries = [(3, 1, 1, 7), (0, 0, 1, 0), (0, 0, 0, 0)]
+        fn = PartialFn.from_entries(entries)
+        again = PartialFn.from_entries(reversed(entries))
+        assert fn == again and hash(fn) == hash(again)
+        assert fn != PartialFn.from_entries([(3, 1, 1, 6), *entries[1:]])
+        for m in (0, 5, 4321, 10 ** 30):
+            made = PartialFn.from_entries(nth_partial_fn(m).entries)
+            assert made == nth_partial_fn(m)
+            assert hash(made) == hash(nth_partial_fn(m))
+        assert len({nth_partial_fn(5), PartialFn.from_entries(
+            [(0, 0, 1, 0), (0, 0, 0, 1)]), EMPTY_FN}) == 2
+        assert len(fn) == 3 and len(EMPTY_FN) == 0
+        assert EMPTY_FN == nth_partial_fn(0)
+
+    @pytest.mark.parametrize("name", ["points", "entries", "slots", "other"])
+    def test_frozen(self, name):
+        fn = nth_partial_fn(5)
+        with pytest.raises(dataclasses.FrozenInstanceError) as refused:
+            setattr(fn, name, ())
+        assert str(refused.value) == f"cannot assign to field {name!r}"
+        assert fn.entries == ((0, 0, 0, 1), (0, 0, 1, 0))
+
     def test_functionality_enforced(self):
-        with pytest.raises(ValueError):
-            PartialFn.from_entries([(0, 0, 0, 1), (0, 0, 0, 2)])
+        assert refusal([(0, 0, 0, 1), (0, 0, 0, 2)]) == \
+            "two values for point (0, 0, 0)"
 
     def test_layer_and_sign_validation(self):
-        with pytest.raises(ValueError):
-            PartialFn.from_entries([(0, 0, 2, 0)])
-        with pytest.raises(ValueError):
-            PartialFn.from_entries([(0, 0, 0, -1)])
+        for entry in ((0, 0, 2, 0), (0, 0, 0, -1), (-1, 0, 0, 0),
+                      (0, -1, 0, 0)):
+            assert refusal([entry]) == f"bad entry {entry}"
+        assert refusal([(0, 0, 0)]) == \
+            "not enough values to unpack (expected 4, got 3)"
+        assert refusal([("x", 0, 0, 0)]) == \
+            "invalid literal for int() with base 10: 'x'"
 
     def test_lookup_is_explicitly_absent(self):
         fn = PartialFn.from_entries([(1, 2, 0, 5)])
@@ -737,6 +782,41 @@ class TestWalksAgainstOracles:
         # most of these codes are not functional: the count stops at the
         # first repeated group, as before
         assert index_of_raw_code(raw) == raw_rank_below(raw, [])
+
+
+# nth_partial_fn as it was when a function stored its entries: each of the
+# walk's (group, value) pairs turned into (a, b, i, v), one isqrt per entry.
+
+def entry_decode(m):
+    entries = []
+    for g, v in sorted((g, v) for _, g, v in codec._unrank_walk(m)):
+        q = g >> 1
+        w = (math.isqrt(8 * q + 1) - 1) // 2
+        b = q - w * (w + 1) // 2
+        entries.append((w - b, b, g & 1, v))
+    return tuple(entries)
+
+
+class TestPointsAgainstEntryDecode:
+    def test_every_index_below_2_16(self):
+        for m in range(1 << 16):
+            assert nth_partial_fn(m).entries == entry_decode(m)
+
+    def test_factorial_boundaries(self):
+        for w in range(41):
+            for k in range(1, w + 2):
+                for delta in (-1, 0, 1):
+                    m = _factorial_boundary(w, k, delta)
+                    assert nth_partial_fn(m).entries == entry_decode(m)
+
+    @given(ORACLE_INDICES)
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_indices(self, m):
+        fn = nth_partial_fn(m)
+        assert fn.entries == entry_decode(m)
+        assert fn.points == tuple((point_code(a, b, i), v)
+                                  for a, b, i, v in fn.entries)
+        assert fn == PartialFn.from_entries(reversed(fn.entries))
 
 
 def merge_least_member_extension(probe, members, above, bound, excluded):

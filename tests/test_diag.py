@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -97,7 +98,9 @@ class TestGridFnFromPerm:
     def test_decodes_only_rows_below_the_wall(self, monkeypatch):
         # rows 3.. need an index past about 6.2e9, so at n = 2^20 only rows
         # 0..2 of each layer are decoded; every row is still queried, so the
-        # permutation's later draws are those of the full pinned order
+        # permutation's later draws are those of the full pinned order.
+        # Each index past its row's cutoff is one call of the public
+        # nth_partial_fn, so a trace of that name sees every decode
         decoded = []
 
         def counted(j):
@@ -110,12 +113,51 @@ class TestGridFnFromPerm:
             grid_fn_from_perm(perm, 16, 16)
             assert len(decoded) <= 6
             queried = LazyPermutation(1 << 20, seed)
-            for m in range(16):
-                queried.apply(m)
-            for m in range(16):
-                queried.inverse_apply(m)
+            images = [queried.apply(m) for m in range(16)]
+            preimages = [queried.inverse_apply(m) for m in range(16)]
+            assert decoded == [
+                j for layer, read in enumerate((images, preimages))
+                for m, j in enumerate(read)
+                if j >= count_functional_below(entry_slot(m, 0, layer, 0))]
             assert [perm.apply(x) for x in range(40)] == \
                 [queried.apply(x) for x in range(40)]
+
+    @pytest.mark.parametrize("n", [3, 7, 64, 1 << 12, 1 << 20, 10 ** 12])
+    def test_equals_the_entry_filter(self, n):
+        # columns 1 and 2 cut rows that hold more; 16 and 64 are past every
+        # column a decode reaches at these sizes
+        rows = min(16, n)
+        for seed in range(40):
+            for cols in (1, 2, 16, 64):
+                fn = grid_fn_from_perm(LazyPermutation(n, seed), rows, cols)
+                expected = entry_filter_grid_fn(LazyPermutation(n, seed),
+                                                rows, cols)
+                assert fn == expected
+                assert fn.entries == expected.entries
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_cutoff_closed_form(self, layer):
+        for m in range(40):
+            assert math.factorial(m * (m + 1) + layer + 1) == \
+                count_functional_below(entry_slot(m, 0, layer, 0))
+
+
+def entry_filter_grid_fn(perm, rows, cols):
+    """grid_fn_from_perm as it was before it read points: each decode's
+    entries filtered by row, layer and column, each cutoff counted from its
+    slot, and the result validated by from_entries."""
+    entries = []
+    for layer, index_of in ((0, perm.apply), (1, perm.inverse_apply)):
+        cutoff = 0
+        for m in range(rows):
+            j = index_of(m)
+            if cutoff < perm.n:
+                cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
+            if j >= cutoff:
+                entries.extend((m, b, layer, v)
+                               for a, b, i, v in nth_partial_fn(j).entries
+                               if a == m and i == layer and b < cols)
+    return PartialFn.from_entries(entries)
 
 
 class Transposition:
