@@ -49,16 +49,21 @@ class _UsageError(Exception):
     pass
 
 
-# an argument argparse refused, as it quotes it: past 40 characters the
-# usage line gives its head and length, so the line does not grow with it
-_LONG_QUOTED = re.compile(r"'([^']{41,})'")
+# an argument argparse refused, quoted ("invalid int value: '...'") or bare
+# ("unrecognized arguments: ..."): past 40 characters the usage line gives
+# its head and length, so the line does not grow with it
+_LONG_ARGUMENT = re.compile(r"'([^']{41,})'|([^\s']{41,})")
+
+
+def _cut_argument(m: re.Match) -> str:
+    quote, arg = ("'", m[1]) if m[1] is not None else ("", m[2])
+    return f"{quote}{arg[:20]}...{quote} ({len(arg)} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2); the exit-status contract wants 64
     def error(self, message):
-        raise _UsageError(_LONG_QUOTED.sub(
-            lambda q: f"'{q[1][:20]}...' ({len(q[1])} characters)", message))
+        raise _UsageError(_LONG_ARGUMENT.sub(_cut_argument, message))
 
 
 def _say(line: str) -> None:

@@ -7,15 +7,19 @@ image cell.  build_permutation completes such a pair to a full permutation,
 filling each cell with an order bijection twisted by a per-cell shuffle.
 Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
-A set's image is read off its base-2 digits in C-level passes, with no
-Python loop over points: one itemgetter over the preimage table picks each
-point's digit and one str.join assembles them.  Each attempt of the search
-takes the closure's least combination size once.
+Sets are imaged a front at a time, in C-level passes with no Python loop
+over points: up to eight sets share one byte per point, holding each set's
+base-2 digit for that point in its own bit, and one itemgetter over the
+preimage table moves every byte at once, so a front of K sets costs
+ceil(K/8) gathers.  Each attempt of the search draws its cell shuffles from
+batched 32-bit words of random.shuffle's stream and takes the closure's
+least combination size once.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -190,6 +194,10 @@ def check_compatible(f: PartialInjection, g: FamilyMap,
     return CompatibilityReport(witness is None, witness)
 
 
+# the most 32-bit words one getrandbits call asks for while drawing shuffles
+_DRAW_WORDS = 4096
+
+
 @dataclass(frozen=True)
 class AtomShuffle:
     """One permutation of positions per cell, twisting the order bijection."""
@@ -209,10 +217,39 @@ class AtomShuffle:
 
     @classmethod
     def random(cls, sizes: Sequence[int], rng: random.Random) -> "AtomShuffle":
+        """Per cell, the permutation rng.shuffle(list(range(size))) makes,
+        read from the same stream, so rng ends in the same state.
+
+        shuffle is Fisher-Yates (Durstenfeld 1964; Knuth, TAOCP 2, 3.4.2,
+        Algorithm P): for i from size - 1 down to 1 it swaps p[i] with p[j],
+        j drawn below i + 1 as the top k = (i + 1).bit_length() bits of one
+        32-bit word, a word giving j > i being dropped for the next.  Here
+        the words come from one getrandbits(32 * m) call per batch, which the
+        generator fills with the same m words, first word lowest.  m is at
+        most the swaps left, each of which takes a word or more, so a batch
+        never reads past the words shuffle draws, and at most _DRAW_WORDS,
+        so a batch's memory does not grow with the cell.
+        """
         perms = []
         for s in sizes:
             p = list(range(s))
-            rng.shuffle(p)
+            i = s - 1  # p[i] is swapped next
+            # j is a word's top (i + 1).bit_length() bits; that length drops
+            # by one each time i falls below low
+            k = s.bit_length()
+            shift, low = 32 - k, (1 << k >> 1) - 1
+            while i > 0:
+                m = min(i, _DRAW_WORDS)
+                # "<I": the words in draw order on either byte order
+                for word in struct.unpack(f"<{m}I", rng.getrandbits(32 * m)
+                                          .to_bytes(4 * m, "little")):
+                    j = word >> shift
+                    if j <= i:
+                        p[i], p[j] = p[j], p[i]
+                        i -= 1
+                        if i < low:
+                            shift += 1
+                            low >>= 1
             perms.append(tuple(p))
         return cls(tuple(perms))
 
@@ -250,24 +287,55 @@ class Permutation:
         return self._inverse[y]
 
     def apply_set(self, s: FinSet) -> FinSet:
-        return self._image_set(s, self._inverse)
+        return self.apply_sets((s,))[0]
 
     def inverse_apply_set(self, s: FinSet) -> FinSet:
-        return self._image_set(s, self.images)
+        return self.inverse_apply_sets((s,))[0]
 
-    def _image_set(self, s: FinSet, preimages: Sequence[int]) -> FinSet:
-        """The set whose point y is in exactly when preimages[y] is in s,
-        read off s's base-2 digits in C-level passes: format, one
-        itemgetter(*preimages) call that picks y's digit for every y, join
-        and int(..., 2).  No loop per point; base-2 conversions are exempt
-        from the int/str digit limit."""
-        if s.n != self.n:
+    def apply_sets(self, sets: Sequence[FinSet]) -> list[FinSet]:
+        """The forward images of the sets, in order."""
+        return self._image_sets(sets, self._inverse)
+
+    def inverse_apply_sets(self, sets: Sequence[FinSet]) -> list[FinSet]:
+        """The backward images of the sets, in order."""
+        return self._image_sets(sets, self.images)
+
+    def _image_sets(self, sets: Sequence[FinSet],
+                    preimages: Sequence[int]) -> list[FinSet]:
+        """Per set s, the set holding y exactly when preimages[y] is in s.
+
+        Eight sets at a time share one byte per point: the set in slot b
+        puts its base-2 digit for point x in bit b of byte x.  One
+        itemgetter(*preimages) call moves every point's byte at once, and
+        each slot's bits are read back as a base-2 numeral.  Each step is a
+        C-level pass (format, int.from_bytes, shifts, to_bytes,
+        int(..., 2)), with no Python loop over points; base-2 conversions
+        are exempt from the int/str digit limit.
+        """
+        n = self.n
+        if any(s.n != n for s in sets):
             raise ValueError("set lives in a different universe")
-        bits = format(s.mask, f"0{self.n}b")[::-1]  # bits[x] is x's digit
-        # itemgetter keeps the preimage tuple without copying it; for one
-        # index it returns the digit itself, which joins the same
-        image = "".join(itemgetter(*preimages)(bits))
-        return FinSet(self.n, int(image[::-1], 2))
+        if n == 1:
+            # the identity; one index would make itemgetter return a bare
+            # int, and bytes(int) is a zero buffer of that length
+            return list(sets)
+        pick = itemgetter(*preimages)  # keeps the tuple, does not copy it
+        lanes = int.from_bytes(b"\1" * n, "little")  # 1 in every byte
+        zeros = lanes * 0x30  # the digit "0" in every byte
+        images = []
+        for c in range(0, len(sets), 8):
+            chunk = sets[c:c + 8]
+            column = 0
+            for b, s in enumerate(chunk):
+                # format puts x's digit at byte n-1-x: read "big", at byte x
+                digits = int.from_bytes(format(s.mask, f"0{n}b").encode(), "big")
+                column |= (digits - zeros) << b
+            moved = int.from_bytes(bytes(pick(column.to_bytes(n, "little"))),
+                                   "little")
+            images.extend(FinSet(n, int((moved >> b & lanes | zeros)
+                                        .to_bytes(n, "big"), 2))
+                          for b in range(len(chunk)))
+        return images
 
 
 def _completion(f: PartialInjection, g: FamilyMap, family: Family
@@ -348,12 +416,12 @@ def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:
     sets = list(family.sets)
     labels = list(base_labels)
     seen = {s.mask for s in sets}
-    image_of = {"+": perm.apply_set, "-": perm.inverse_apply_set}
+    image_of = {"+": perm.apply_sets, "-": perm.inverse_apply_sets}
     fronts = {sign: family.sets for sign in image_of}
     for ell in range(1, layers + 1):
         before = len(sets)
         for sign, image in image_of.items():  # forward first, then backward
-            fronts[sign] = [image(s) for s in fronts[sign]]
+            fronts[sign] = image(fronts[sign])
             for j, s in enumerate(fronts[sign]):
                 if s.mask not in seen:
                     seen.add(s.mask)

@@ -59,7 +59,13 @@ def full_mask(n: int) -> int:
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+# Masks of up to 2126 bits have at most 640 decimal digits, below the least
+# int/str limit Python lets a process set; a repr gives larger ones in hex,
+# which the limit exempts, so it never raises.
+_DECIMAL_MASK_BITS = 2126
+
+
+@dataclass(frozen=True, repr=False)
 class FinSet:
     """A subset of {0..n-1}, canonically represented by its bitmask."""
 
@@ -71,6 +77,11 @@ class FinSet:
             raise ValueError("universe size must be >= 1")
         if self.mask < 0 or self.mask >> self.n:
             raise ValueError("set members must lie in [0, n)")
+
+    def __repr__(self) -> str:
+        mask = self.mask
+        shown = mask if mask.bit_length() <= _DECIMAL_MASK_BITS else hex(mask)
+        return f"FinSet(n={self.n}, mask={shown})"
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "FinSet":

@@ -132,6 +132,14 @@ class TestRho:
         # a short one is echoed whole
         assert cli.main(["rho", "x" * 40]) == 64
         assert f"'{'x' * 40}'" in capsys.readouterr().err
+        # argparse lists extra arguments bare, without quotes
+        assert cli.main(["rho", "1", "y" * 3000]) == 64
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert err == ("usage error: unrecognized arguments: "
+                       f"{'y' * 20}... (3000 characters)\n")
+        assert cli.main(["rho", "1", "y" * 40]) == 64
+        assert capsys.readouterr().err.endswith(f"arguments: {'y' * 40}\n")
 
     def test_bad_json_is_data_error(self, workdir):
         bad = workdir / "bad.json"

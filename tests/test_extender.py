@@ -204,18 +204,41 @@ class TestPermutation:
     def test_identity(self):
         assert Permutation.identity(3).images == (0, 1, 2)
 
+    @staticmethod
+    def assert_front_images_are_pointwise(p, sets):
+        # {p(x) : x in s} and {x : p(x) in s}, point by point
+        forward = [sorted(p.images[x] for x in s) for s in sets]
+        backward = [[x for x in range(p.n) if p.images[x] in s] for s in sets]
+        assert [s.to_list() for s in p.apply_sets(sets)] == forward
+        assert [s.to_list() for s in p.inverse_apply_sets(sets)] == backward
+        assert [p.apply_set(s).to_list() for s in sets] == forward
+        assert [p.inverse_apply_set(s).to_list() for s in sets] == backward
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_set_images_equal_pointwise_oracle(self, data):
-        n = data.draw(st.integers(1, 70))
+        # fronts on both sides of the eight sets that share a byte column
+        n = data.draw(st.one_of(st.sampled_from([1, 2, 7, 8, 9]),
+                                st.integers(1, 70)))
         images = data.draw(st.permutations(range(n)))
         full = (1 << n) - 1
-        s = FinSet(n, data.draw(st.one_of(st.just(0), st.just(full),
-                                          st.integers(0, full))))
-        p = Permutation(n, tuple(images))
-        assert p.apply_set(s).to_list() == sorted(images[x] for x in s)
-        assert p.inverse_apply_set(s).to_list() == \
-            [x for x in range(n) if images[x] in s]
+        count = data.draw(st.sampled_from([0, 1, 8, 9, 17]))
+        masks = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+        sets = [FinSet(n, data.draw(masks)) for _ in range(count)]
+        self.assert_front_images_are_pointwise(Permutation(n, tuple(images)),
+                                               sets)
+
+    @pytest.mark.parametrize("count", [0, 1, 8, 9, 17])
+    def test_set_images_at_workload_size(self, count):
+        n = 1 << 14
+        rng = random.Random(count)
+        images = list(range(n))
+        rng.shuffle(images)
+        full = (1 << n) - 1
+        sets = [FinSet(n, 0), FinSet(n, full)] + [
+            FinSet(n, rng.getrandbits(n)) for _ in range(count)]
+        self.assert_front_images_are_pointwise(Permutation(n, tuple(images)),
+                                               sets[:count])
 
     def test_set_images_on_one_point(self):
         p = Permutation.identity(1)
@@ -300,11 +323,11 @@ class TestOrbitClosure:
         # {0, 1, 2} under an 8-cycle: layers 1-4 add its 7 shifts, layer 5
         # adds nothing and ends the closure, whatever layer count is asked
         calls = []
-        for name in ("apply_set", "inverse_apply_set"):
+        for name in ("apply_sets", "inverse_apply_sets"):
             real = getattr(Permutation, name)
             monkeypatch.setattr(Permutation, name,
-                                lambda self, s, real=real:
-                                calls.append(1) or real(self, s))
+                                lambda self, sets, real=real:
+                                calls.append(1) or real(self, sets))
         cyc = Permutation(8, (1, 2, 3, 4, 5, 6, 7, 0))
         closed = orbit_closure(Family.from_lists(8, [[0, 1, 2]]), cyc,
                                10 ** 5)
@@ -330,6 +353,32 @@ class TestAtomShuffle:
         sh = AtomShuffle.random((3, 0, 2), random.Random(1))
         assert [len(p) for p in sh.perms] == [3, 0, 2]
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2 ** 40 + 3])
+    def test_random_is_random_shuffle_stream(self, seed):
+        # the perms rng.shuffle makes, and rng left in the same state: sizes
+        # on both sides of powers of two, and past the words of one batch
+        sizes = [0, 1, 2, 3] + [size for k in range(2, 13)
+                                for size in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+        sizes += [5000, extender._DRAW_WORDS * 2 + 7]
+        rng, oracle = random.Random(seed), random.Random(seed)
+        perms = []
+        for size in sizes:
+            p = list(range(size))
+            oracle.shuffle(p)
+            perms.append(tuple(p))
+        assert AtomShuffle.random(sizes, rng).perms == tuple(perms)
+        assert rng.getrandbits(64) == oracle.getrandbits(64)
+
+    def test_random_asks_at_most_a_batch_of_words(self):
+        asked = []
+
+        class Counted(random.Random):
+            def getrandbits(self, k):
+                asked.append(k)
+                return super().getrandbits(k)
+        AtomShuffle.random((3 * extender._DRAW_WORDS, 5), Counted(1))
+        assert max(asked) == 32 * extender._DRAW_WORDS
+
 
 class TestFindIndependentShuffle:
     def test_succeeds_on_symmetric_family(self):
@@ -344,6 +393,13 @@ class TestFindIndependentShuffle:
         for j, j2 in SWAP01.pairs:
             assert rep.permutation.apply_set(bit_family(2, 8).sets[j]) == \
                 bit_family(2, 8).sets[j2]
+
+    def test_report_repr_at_workload_size(self):
+        # its closure's masks have 2^14 bits, past the int/str digit limit
+        rep = find_independent_shuffle(
+            PartialInjection.empty(1 << 14), SWAP01, bit_family(2, 1 << 14),
+            threshold=1, depth=1, layers=1, budget=1, seed=0)
+        assert rep.ok and ", mask=0x" in repr(rep)
 
     def test_budget_zero_exhausts(self):
         rep = find_independent_shuffle(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,25 @@ class TestFinSet:
         members = list(range(0, n, 97)) + [n - 1]
         s = FinSet.from_members(n, members)
         assert s.to_list() == sorted(set(members))
+
+    def test_repr_never_raises(self):
+        # decimal up to 2126 bits (640 digits, the least int/str limit a
+        # process may set), hex past it, which the limit exempts
+        edge, big = (1 << 2126) - 1, 1 << 2126
+        assert repr(FinSet(4, 5)) == "FinSet(n=4, mask=5)"
+        assert repr(FinSet(2127, edge)) == f"FinSet(n=2127, mask={edge})"
+        assert repr(FinSet(2127, big)) == f"FinSet(n=2127, mask={hex(big)})"
+        fam = bit_family(1, 1 << 15)
+        assert repr(fam).startswith("Family(n=32768, sets=(FinSet(n=32768, "
+                                    "mask=0xaaaa")
+        assert eval(repr(fam.sets[0])) == fam.sets[0]
+        if hasattr(sys, "set_int_max_str_digits"):
+            old = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+            try:
+                assert str(edge) in repr(FinSet(2127, edge))
+            finally:
+                sys.set_int_max_str_digits(old)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
