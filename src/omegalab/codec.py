@@ -19,8 +19,10 @@ multiplication per free slot: O(bits) big-integer steps.
 
 A PartialFn is stored as its (point code, value) pairs sorted by point code,
 the codec's native form: group g of the enumeration is point code g, and its
-slot v is the function's value v there.  Its entries (a, b, i, value), its
-slots and its raw code are views, read from those pairs on first use.
+slot v is the function's value v there.  The engine reads those pairs.
+Three views are read from them on first use: the entries (a, b, i, value)
+serve JSON, repr and generic.agreements; the slots and the raw code serve
+callers outside the engine.
 nth_partial_fn keeps the walk's (group, value) pairs and computes no entry;
 it does not re-validate them, since the walk yields a functional code by
 construction.  Ranking reads the pairs, point code c with value v as slot v
@@ -32,7 +34,8 @@ The least extension of a probe past an index is found in one top-down pass
 that walks the index's digits as unranking does and picks the answer's
 deviation slot in the same step; its rank is the index less the walk's
 remainder there, plus the closed-form counts of the few slots below it.  The
-search bound is compared only with that rank.  Every search runs within a
+probe's pairs are sorted once per search, and the search bound is compared
+only with that rank.  Every search runs within a
 member mask: it reads the mask once as its signed little-endian bytes and
 leapfrogs its members (each found by a C-level byte search) with the probe's
 extensions, so no member is decoded.  A negative mask is co-finite: past its
@@ -113,15 +116,11 @@ class PartialFn:
     def __repr__(self) -> str:
         return f"PartialFn(entries={self.entries!r})"
 
-    @cached_property
-    def _by_point(self) -> dict[tuple[int, int, int], int]:
-        return {(a, b, i): v for a, b, i, v in self.entries}
-
     def value_at(self, a: int, b: int, i: int) -> Optional[int]:
-        return self._by_point.get((a, b, i))
-
-    def defined_at(self, a: int, b: int, i: int) -> bool:
-        return (a, b, i) in self._by_point
+        if a < 0 or b < 0 or i not in (0, 1):
+            return None  # not a point, though its "code" may name one
+        code = point_code(a, b, i)
+        return next((v for c, v in self.points if c == code), None)
 
     @cached_property
     def slots(self) -> tuple[int, ...]:
@@ -359,34 +358,35 @@ def least_extension_index(probe: PartialFn, above: int, search_bound: int,
                                    search_bound, set(without))
 
 
-def _least_extension(probe: PartialFn, above: int, search_bound: int,
-                     excluded: set[int]) -> Optional[int]:
-    """The counting search of least_extension_index, every index a member."""
+def _least_extension(pairs: list[tuple[int, int]], above: int,
+                     search_bound: int, excluded: set[int]) -> Optional[int]:
+    """The counting search of least_extension_index, every index a member,
+    for the probe whose slots are `pairs` (its _slot_pairs)."""
     if above >= search_bound - 1:
         return None  # no index lies strictly between the two
-    if not probe.points:
+    if not pairs:
         n = above + 1 if above >= 0 else 0
         while n in excluded:
             n += 1
         return n if n < search_bound else None
 
-    # every code holding the probe's top slot s ranks after the (w+1)!(k+1)
-    # codes with all slots below s; (w+1)! >= 2^w settles a large w without
-    # the factorial, and before raw_code, which refuses slots past SLOT_LIMIT
-    s = probe.slots[-1]
-    if (_diagonal(s)[0] >= search_bound.bit_length()
-            or count_functional_below(s) >= search_bound):
+    # every code holding the probe's top slot, slot k of diagonal w, ranks
+    # after the (w+1)!(k+1) codes with all slots below it; (w+1)! >= 2^w
+    # settles a large w without the factorial
+    w, k = pairs[0]
+    if (w >= search_bound.bit_length()
+            or math.factorial(w + 1) * (k + 1) >= search_bound):
         return None
-    n = _next_extension(probe, above)
+    n = _next_extension(pairs, above)
     while n < search_bound and n in excluded:
-        n = _next_extension(probe, n)
+        n = _next_extension(pairs, n)
     return n if n < search_bound else None
 
 
-def _next_extension(probe: PartialFn, above: int) -> int:
+def _next_extension(pairs: list[tuple[int, int]], above: int) -> int:
     """Index of the least code past the `above`-th code `low` that holds the
-    probe's slots, by one top-down walk of `low`'s digits, a diagonal at a
-    time as in _unrank_walk.
+    probe's slots `pairs` (its _slot_pairs, top down), by one top-down walk
+    of `low`'s digits, a diagonal at a time as in _unrank_walk.
 
     The answer agrees with `low` above its lowest admissible slot `best`,
     sets it, and below it holds only the probe's slots.  A slot is
@@ -399,7 +399,6 @@ def _next_extension(probe: PartialFn, above: int) -> int:
     that agree with it above `best`, so the answer ranks at above - r plus
     the counts of `best` and of the probe's slots below it.
     """
-    pairs = _slot_pairs(probe)
     if above < 0:
         return _rank_below(pairs, [])
     w, k, total = _walk_start(above)
@@ -446,13 +445,15 @@ def _least_member_extension(probe: PartialFn, data: bytes,
     """Least member n of `data` (a mask's `_member_bytes`), above < n <
     search_bound and not excluded, whose function extends `probe`.  A
     leapfrog: from extension e to the least member n >= e, and from n != e
-    to the least extension >= n by one counting search."""
-    e = _least_extension(probe, above, search_bound, excluded)
+    to the least extension >= n by one counting search.  The probe's slots
+    are sorted once, for every step."""
+    pairs = _slot_pairs(probe)
+    e = _least_extension(pairs, above, search_bound, excluded)
     while e is not None:
         n = _next_member(data, e)
         if n is None or n == e:
             return n
-        e = _least_extension(probe, n - 1, search_bound, excluded)
+        e = _least_extension(pairs, n - 1, search_bound, excluded)
     return None
 
 

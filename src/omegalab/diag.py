@@ -25,8 +25,8 @@ from .codec import PartialFn, cantor_unpair, nth_partial_fn
 from .config import GRID_TAG, PERM_TAG, ExperimentConfig, child_seed
 from .finset import Family, FinSet, IndependenceReport, is_independent
 from .generic import (ComboDensityReport, Condition, GenericRun, TargetGrid,
-                      auto_schedule, build_generic, check_all_combos_dense,
-                      row_match_column)
+                      agreements, auto_schedule, build_generic,
+                      check_all_combos_dense)
 from .jsonio import (density_to_obj, grid_to_obj, independence_to_obj,
                      run_to_obj)
 
@@ -101,9 +101,7 @@ def case_split(perm: PointPermutation, members: Iterable[int]
 def matches(fn: PartialFn, target: TargetGrid) -> int:
     """How many points of the target the partial function gets right; its
     points outside the target do not count."""
-    rows, cols, values = target.rows, target.cols, target.values
-    return sum(1 for m, k, i, v in fn.entries
-               if m < rows and k < cols and v == values[(m * cols + k) * 2 + i])
+    return len(agreements(fn, target))
 
 
 class CatchReport(NamedTuple):
@@ -122,16 +120,13 @@ def verify_catch(cond: Condition, perm: PointPermutation) -> CatchReport:
     case's row lies inside the grid."""
     target = cond.grid
     up, down = case_split(perm, cond.elements)
-    failures = []
-    for m in up:
-        partner = perm.apply(m)
-        if row_match_column(nth_partial_fn(partner), m, 0, target) is None:
-            failures.append((m, partner, 0))
-    for n in down:
-        m = perm.apply(n)
-        if row_match_column(nth_partial_fn(n), m, 1, target) is None:
-            failures.append((m, n, 1))
-    return CatchReport(not failures, up, down, tuple(failures))
+    cases = ([(m, perm.apply(m), 0) for m in up]
+             + [(perm.apply(n), n, 1) for n in down])
+    failures = tuple(
+        (m, n, i) for m, n, i in cases
+        if not any((a, j) == (m, i)
+                   for a, _, j in agreements(nth_partial_fn(n), target)))
+    return CatchReport(not failures, up, down, failures)
 
 
 class LazyPermutation:

@@ -470,6 +470,10 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
         raise ValueError("budget must be >= 0")
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
+    if layers < 0:
+        raise ValueError("layer count must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     sources, targets = _completion(f, g, family)
     sizes = tuple(len(s) for s in sources)
     rng = random.Random(seed)

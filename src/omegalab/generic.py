@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codec import (EMPTY_FN, PartialFn, check_dense, least_extension_index,
-                    nth_partial_fn)
+                    nth_partial_fn, point_code)
 from .errors import GridOverflow, SearchExhausted
 from .finset import (CombinationSpec, Family, FinSet, combination_mask,
                      combination_masks, combination_specs)
@@ -75,14 +75,12 @@ class TargetGrid:
         return cls(rows, cols, value_bound, vals)
 
 
-def row_match_column(fn: PartialFn, m: int, i: int, grid: TargetGrid) -> Optional[int]:
-    """Least column k < cols where fn(m,k,i) is defined and equals the grid:
-    the first match, as entries run in point-code order, which for one (m, i)
-    is column order."""
-    for a, b, ii, v in fn.entries:
-        if a == m and ii == i and b < grid.cols and v == grid.value_at(m, b, i):
-            return b
-    return None
+def agreements(fn: PartialFn, grid: TargetGrid) -> list[tuple[int, int, int]]:
+    """(m, k, i) of each point where fn is defined inside the grid and equals
+    it, in point-code order, which for one (m, i) is column order."""
+    rows, cols, values = grid.rows, grid.cols, grid.values
+    return [(m, k, i) for m, k, i, v in fn.entries
+            if m < rows and k < cols and v == values[(m * cols + k) * 2 + i]]
 
 
 def _pairwise_witness(elements: Sequence[int], grid: TargetGrid
@@ -93,15 +91,16 @@ def _pairwise_witness(elements: Sequence[int], grid: TargetGrid
     element may lie beyond the grid; a non-maximal element at or past
     grid.rows raises GridOverflow.  Each later element is decoded once.
     """
-    later = [nth_partial_fn(n) for n in elements[1:]]
+    later = [{(m, i) for m, _, i in agreements(nth_partial_fn(n), grid)}
+             for n in elements[1:]]
     for pos_m, m in enumerate(elements):
         if pos_m < len(elements) - 1 and m >= grid.rows:
             raise GridOverflow(
                 f"element {m} is paired below a later element but the grid "
                 f"has only {grid.rows} rows")
-        for n, fn in zip(elements[pos_m + 1:], later[pos_m:]):
+        for n, matched in zip(elements[pos_m + 1:], later[pos_m:]):
             for i in (0, 1):
-                if row_match_column(fn, m, i, grid) is None:
+                if (m, i) not in matched:
                     return (m, n, i)
     return None
 
@@ -183,17 +182,22 @@ def merge_families(families: Sequence[Family]) -> Family:
 
 
 def _merge_for_search(families: Sequence[Family], search_bound: int) -> Family:
-    """merge_families, refusing a search bound past the merged universe."""
+    """merge_families, refusing a search bound past the merged universe or
+    below 1."""
     merged = merge_families(families)
     if search_bound > merged.n:
         raise ValueError("search bound cannot exceed the universe size")
+    if search_bound < 1:
+        raise ValueError("search bound must be >= 1")
     return merged
 
 
-def _echo_entries(elements: Sequence[int], grid: TargetGrid,
-                  base: PartialFn) -> list[tuple[int, int, int, int]]:
-    """For each chain element m and layer i, the least free column past the
-    base function, valued from the grid."""
+def _echo_points(elements: Sequence[int], grid: TargetGrid,
+                 base: PartialFn) -> list[tuple[int, int]]:
+    """For each chain element m and layer i, the least column k free in the
+    base, as the point (point_code(m, k, i), grid value): a code new to the
+    base and to every other echo, so no pair needs checking again."""
+    taken = {c for c, _ in base.points}
     extra = []
     for m in elements:
         if m >= grid.rows:
@@ -202,12 +206,12 @@ def _echo_entries(elements: Sequence[int], grid: TargetGrid,
                 f"{grid.rows} rows exist")
         for i in (0, 1):
             k = 0
-            while base.defined_at(m, k, i):
+            while point_code(m, k, i) in taken:
                 k += 1
             if k >= grid.cols:
                 raise GridOverflow(
                     f"no free column below {grid.cols} for row {m}, layer {i}")
-            extra.append((m, k, i, grid.value_at(m, k, i)))
+            extra.append((point_code(m, k, i), grid.value_at(m, k, i)))
     return extra
 
 
@@ -226,16 +230,14 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
     bound past the families' universe is a ValueError, as in build_generic.
     """
     merged = _merge_for_search(families, search_bound)
-    if search_bound < 1:
-        raise ValueError("search bound must be >= 1")
     grid = cond.grid
     probe = nth_partial_fn(demand.probe_index)
     within = combination_mask(merged, demand.spec)
     above = cond.max_element if cond.elements else -1
 
     if demand.polarity == IN:
-        augmented = PartialFn.from_entries(
-            list(probe.entries) + _echo_entries(cond.elements, grid, probe))
+        augmented = PartialFn(tuple(sorted(
+            probe.points + tuple(_echo_points(cond.elements, grid, probe)))))
         n = least_extension_index(augmented, above, search_bound,
                                   within=within)
         if n is None:
@@ -250,7 +252,8 @@ def extend_to_meet(cond: Condition, demand: Demand, families: Sequence[Family],
         raise SearchExhausted(
             f"no out-witness below {search_bound} for probe "
             f"{demand.probe_index} over spec {demand.spec}")
-    pad_probe = PartialFn.from_entries(_echo_entries(cond.elements, grid, EMPTY_FN))
+    pad_probe = PartialFn(tuple(sorted(
+        _echo_points(cond.elements, grid, EMPTY_FN))))
     above2 = max(above, witness)
     pad = least_extension_index(pad_probe, above2, search_bound)
     if pad is None:

@@ -264,6 +264,19 @@ class TestExtendPerm:
         assert obj["ok"] is False and obj["best_min_size"] == 2
 
 
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    @pytest.mark.parametrize("flag", ["--d", "--L"])
+    def test_negative_depth_or_layers_is_data_error(self, workdir, flag,
+                                                    budget):
+        fam, demand = self.make_inputs(workdir)
+        args = {"--d": "2", "--L": "1", flag: "-1"}
+        res = run_cli("extend-perm", "--family", str(fam), "--demand",
+                      str(demand), "--t", "2", "--d", args["--d"], "--L",
+                      args["--L"], "--budget", budget, "--seed", "5")
+        assert res.returncode == 65
+        assert res.stdout == "" and "must be >= 0" in res.stderr
+
+
 class TestCloseOrbit:
     def test_cycle_layers(self, workdir):
         fam = workdir / "fam.json"
@@ -351,6 +364,21 @@ class TestBuildGeneric:
         assert res.returncode == 65
         assert res.stdout == ""
         assert "search bound cannot exceed the universe size" in res.stderr
+
+    @pytest.mark.parametrize("demands", ["auto:q=0", "empty", "auto:q=1"])
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_search_bound_below_one_is_data_error(self, workdir, demands,
+                                                  bound):
+        # an empty schedule is refused as a non-empty one is
+        fams, eta = self.write_common(workdir)
+        if demands == "empty":
+            demands = str(workdir / "sched.json")
+            write_json(demands, {"demands": []})
+        res = run_cli("build-generic", "--families", str(fams), "--eta",
+                      str(eta), "--demands", demands, "--search-bound", bound)
+        assert res.returncode == 65
+        assert res.stdout == ""
+        assert "search bound must be >= 1" in res.stderr
 
     @pytest.mark.parametrize("pos, neg", [([], [5]), ([0], [5]), ([5], [])])
     def test_spec_index_out_of_range_one_message(self, workdir, pos, neg):

@@ -279,7 +279,9 @@ class TestPartialFn:
         fn = PartialFn.from_entries([(1, 2, 0, 5)])
         assert fn.value_at(1, 2, 0) == 5
         assert fn.value_at(1, 2, 1) is None
-        assert not fn.defined_at(0, 0, 0)
+        assert fn.value_at(0, 0, 0) is None
+        # (2, 1, 2) and (-3, 5, 0) share point (1, 2, 0)'s code 16
+        assert fn.value_at(2, 1, 2) is None and fn.value_at(-3, 5, 0) is None
 
     def test_extends(self):
         small = PartialFn.from_entries([(0, 0, 0, 0)])
@@ -594,13 +596,15 @@ class TestCountingPath:
             mask = probe.raw_code
             code = mask if above < 0 else \
                 _next_superset(mask, raw_code_of_index(above))
-            assert codec._next_extension(probe, above) == index_of_raw_code(code)
+            assert codec._next_extension(codec._slot_pairs(probe), above) == \
+                index_of_raw_code(code)
         excluded = set(data.draw(st.lists(st.integers(0, 1 << 20), max_size=4)))
         for _ in range(data.draw(st.integers(0, 2))):
             first = superset_least_extension(probe, above, bound, excluded)
             if first is not None:
                 excluded.add(first)
-        assert codec._least_extension(probe, above, bound, excluded) == \
+        assert codec._least_extension(codec._slot_pairs(probe), above, bound,
+                                      excluded) == \
             superset_least_extension(probe, above, bound, excluded)
 
     def test_no_pass_when_nothing_lies_between(self):
@@ -823,10 +827,11 @@ def merge_least_member_extension(probe, members, above, bound, excluded):
     """The member-by-member merge that the leapfrog replaced, as an oracle:
     from the first member on, each member past the current extension asks
     for the least extension at or past it."""
-    e = codec._least_extension(probe, above, bound, excluded)
+    pairs = codec._slot_pairs(probe)
+    e = codec._least_extension(pairs, above, bound, excluded)
     for n in members.to_list():
         if e is not None and n > e:
-            e = codec._least_extension(probe, n - 1, bound, excluded)
+            e = codec._least_extension(pairs, n - 1, bound, excluded)
         if e is None:
             return None
         if n == e:
@@ -902,6 +907,20 @@ class TestMemberSearch:
                                                     bound, excluded)
             assert got == expected
             assert leapfrog_calls == spy.call_args_list
+
+    def test_one_probe_sort_per_search(self):
+        # probe 3's extensions run 3, 9, 27, 33: excluding 3 forces a retry,
+        # and the members 10 and 28 make the leapfrog step twice more
+        probe = nth_partial_fn(3)
+        members = FinSet.from_members(64, [10, 28, 33]).mask
+        with mock.patch.object(codec, "_slot_pairs",
+                               wraps=codec._slot_pairs) as sorts, \
+                mock.patch.object(codec, "_next_extension",
+                                  wraps=codec._next_extension) as steps:
+            assert least_extension_index(probe, -1, 1 << 20, within=members,
+                                         without=[3]) == 33
+        assert steps.call_count == 4
+        assert sorts.call_count == 1
 
     def test_searches_never_iterate_a_finset(self, monkeypatch):
         # both searches read the mask's bytes once; listing or walking a

@@ -424,6 +424,18 @@ class TestFindIndependentShuffle:
                 PartialInjection.empty(8), SWAP01, bit_family(2, 8),
                 threshold=0, depth=2, layers=1, budget=0, seed=5)
 
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("depth, layers, message", [
+        (-1, 1, "depth must be >= 0"), (2, -1, "layer count must be >= 0")])
+    def test_depth_and_layers_validated_up_front(self, budget, depth, layers,
+                                                 message):
+        # refused before any attempt, so a zero budget cannot hide it
+        with pytest.raises(ValueError, match=message):
+            find_independent_shuffle(
+                PartialInjection.empty(8), SWAP01, bit_family(2, 8),
+                threshold=2, depth=depth, layers=layers, budget=budget,
+                seed=5)
+
     def test_incompatible_input_raises(self):
         with pytest.raises(IncompatiblePair):
             find_independent_shuffle(

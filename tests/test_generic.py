@@ -1,21 +1,22 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalab import generic
-from omegalab.codec import (PartialFn, check_dense, index_of_raw_code,
-                            nth_partial_fn)
+from omegalab import diag, generic
+from omegalab.codec import (EMPTY_FN, PartialFn, check_dense,
+                            index_of_raw_code, nth_partial_fn)
 from omegalab.errors import GridOverflow, SearchExhausted
 from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              boolean_combination, combination_specs)
 from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
-                              GenericRun, TargetGrid, auto_schedule,
-                              build_generic, check_all_combos_dense,
-                              extend_to_meet, is_condition, merge_families,
-                              row_match_column)
+                              GenericRun, TargetGrid, agreements,
+                              auto_schedule, build_generic,
+                              check_all_combos_dense, extend_to_meet,
+                              is_condition, merge_families)
 
 ZERO_GRID = TargetGrid.constant(4, 4)
 
@@ -68,13 +69,14 @@ class TestTargetGrid:
             TargetGrid.constant(cap_rows + 1, 1)
         assert len(TargetGrid.constant(1000, 1000).values) == 2 * 10 ** 6
 
-    def test_row_match_column(self):
+    def test_agreements(self):
         fn = nth_partial_fn(3)  # (0,0,0)->0 and (0,0,1)->0
-        assert row_match_column(fn, 0, 0, ZERO_GRID) == 0
-        assert row_match_column(fn, 0, 1, ZERO_GRID) == 0
-        assert row_match_column(fn, 1, 0, ZERO_GRID) is None
+        found = agreements(fn, ZERO_GRID)
+        assert (0, 0, 0) in found
+        assert (0, 0, 1) in found
+        assert not any(m == 1 and i == 0 for m, _, i in found)
         ones = TargetGrid.constant(4, 4, 2, 1)
-        assert row_match_column(fn, 0, 0, ones) is None
+        assert not any((m, i) == (0, 0) for m, _, i in agreements(fn, ones))
 
 
 class TestIsCondition:
@@ -107,6 +109,117 @@ class TestIsCondition:
                             lambda n: decoded.append(n) or echo)
         assert is_condition([0, 1, 2, 3, 9], ZERO_GRID).ok
         assert sorted(decoded) == [1, 2, 3, 9]
+
+
+def row_match_column(fn, m, i, grid):
+    """The per-row scan that agreements replaced, as an oracle: the least
+    column k < cols where fn(m, k, i) is defined and equals the grid."""
+    for a, b, ii, v in fn.entries:
+        if a == m and ii == i and b < grid.cols and v == grid.value_at(m, b, i):
+            return b
+    return None
+
+
+def row_scan_witness(elements, grid):
+    """The pair check by one row scan per earlier element and layer."""
+    for pos_m, m in enumerate(elements):
+        if pos_m < len(elements) - 1 and m >= grid.rows:
+            raise GridOverflow(m)
+        for n in elements[pos_m + 1:]:
+            for i in (0, 1):
+                if row_match_column(nth_partial_fn(n), m, i, grid) is None:
+                    return (m, n, i)
+    return None
+
+
+def echo_entries(elements, grid, base):
+    """The entry-based echo that generic._echo_points replaced, as an
+    oracle: the least column past the base per element and layer, as an
+    entry (m, k, i, value)."""
+    extra = []
+    for m in elements:
+        if m >= grid.rows:
+            raise GridOverflow(m)
+        for i in (0, 1):
+            k = 0
+            while base.value_at(m, k, i) is not None:
+                k += 1
+            if k >= grid.cols:
+                raise GridOverflow(m)
+            extra.append((m, k, i, grid.value_at(m, k, i)))
+    return extra
+
+
+SMALL_GRIDS = st.builds(
+    lambda rows, cols, bound, seed: TargetGrid.random(
+        rows, cols, bound, random.Random(seed)),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+    st.integers(0, 2 ** 32))
+# low indices define points in the first rows, high ones past them
+SMALL_CHAINS = st.lists(st.one_of(st.integers(0, 400),
+                                  st.integers(0, 10 ** 12)),
+                        max_size=5, unique=True).map(sorted)
+
+
+class TestAgreementsAgainstRowScan:
+    @given(SMALL_GRIDS, SMALL_CHAINS)
+    @settings(max_examples=300, deadline=None)
+    def test_pair_check(self, grid, chain):
+        try:
+            expected = row_scan_witness(chain, grid)
+        except GridOverflow:
+            with pytest.raises(GridOverflow):
+                is_condition(chain, grid)
+            return
+        assert is_condition(chain, grid).witness == expected
+
+    @given(SMALL_GRIDS, st.one_of(st.integers(0, 400),
+                                  st.integers(0, 10 ** 12)))
+    @settings(max_examples=300, deadline=None)
+    def test_match_count(self, grid, index):
+        fn = nth_partial_fn(index)
+        assert diag.matches(fn, grid) == sum(
+            m < grid.rows and k < grid.cols and v == grid.value_at(m, k, i)
+            for m, k, i, v in fn.entries)
+
+    @given(SMALL_GRIDS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_capture_check(self, grid, data):
+        # a chain handed in past Condition's validation, every element but
+        # the largest inside the grid's rows, as the capture check requires
+        chain = sorted(data.draw(st.sets(st.integers(0, grid.rows - 1))))
+        chain.append(data.draw(st.one_of(st.integers(grid.rows, 400),
+                                         st.integers(grid.rows, 10 ** 12))))
+        cond = object.__new__(Condition)
+        object.__setattr__(cond, "elements", tuple(chain))
+        object.__setattr__(cond, "grid", grid)
+        images = dict(zip(chain, data.draw(st.permutations(chain))))
+        perm = SimpleNamespace(apply=lambda x: images.get(x, x))
+        rep = diag.verify_catch(cond, perm)
+        expected = tuple(
+            [(m, perm.apply(m), 0) for m in rep.up_cases
+             if row_match_column(nth_partial_fn(perm.apply(m)), m, 0,
+                                 grid) is None]
+            + [(perm.apply(n), n, 1) for n in rep.down_cases
+               if row_match_column(nth_partial_fn(n), perm.apply(n), 1,
+                                   grid) is None])
+        assert rep.failures == expected
+        assert rep.ok == (not expected)
+
+    @given(SMALL_GRIDS, SMALL_CHAINS, st.one_of(st.integers(0, 400),
+                                                st.integers(0, 10 ** 12)))
+    @settings(max_examples=300, deadline=None)
+    def test_echo_points(self, grid, chain, probe_index):
+        for base in (EMPTY_FN, nth_partial_fn(probe_index)):
+            try:
+                extra = echo_entries(chain, grid, base)
+            except GridOverflow:
+                with pytest.raises(GridOverflow):
+                    generic._echo_points(chain, grid, base)
+                continue
+            got = PartialFn(tuple(sorted(
+                base.points + tuple(generic._echo_points(chain, grid, base)))))
+            assert got == PartialFn.from_entries(list(base.entries) + extra)
 
 
 class TestCondition:
@@ -243,6 +356,25 @@ class TestBuildGeneric:
         run = build_generic(no_sets(), ZERO_GRID, [], 1 << 12)
         assert not run.degraded and run.condition.elements == ()
         assert run.decided_below == 0
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_search_bound_below_one_rejected_for_any_schedule(self, bound):
+        for schedule in ((), [in_demand()]):
+            with pytest.raises(ValueError, match="search bound must be >= 1"):
+                build_generic(no_sets(), ZERO_GRID, schedule, bound)
+
+    def test_fold_builds_no_function_from_entries(self, monkeypatch):
+        # echoes join the probe as stored (point code, value) pairs
+        calls = []
+        from_entries = PartialFn.from_entries
+        monkeypatch.setattr(PartialFn, "from_entries",
+                            lambda entries: calls.append(entries)
+                            or from_entries(entries))
+        bound = 2 * 10 ** 11
+        run = build_generic([Family(bound, ())], ZERO_GRID,
+                            [in_demand(), out_demand(1), in_demand()], bound)
+        assert not run.degraded and len(run.condition.elements) == 3
+        assert calls == []
 
 
 class TestDemandMask:
