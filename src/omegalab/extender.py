@@ -173,16 +173,28 @@ class CompatibilityReport(NamedTuple):
 
 
 def _compatibility(f: PartialInjection, g: FamilyMap, family: Family
-                   ) -> tuple[AtomDecomposition, Optional[tuple[int, int]]]:
-    """g's decomposition and the least witness of f disagreeing with g."""
+                   ) -> tuple[AtomDecomposition, int, int,
+                              Optional[tuple[int, int]]]:
+    """g's decomposition, dom(f) and ran(f) as masks, and the least witness
+    of f disagreeing with g.
+
+    Per j in dom(g), the members of A_j in dom(f) and of A_g(j) in ran(f)
+    are listed once; the pairs are then checked in order against those
+    sets, so the work is linear in |f| and no mask is shifted per point.
+    """
     if f.n != family.n:
         raise ValueError("partial injection and family disagree on the universe")
     dec = atoms_of(g, family)  # validates g's induced action up front
+    dom = FinSet.from_members(f.n, (x for x, _ in f.pairs)).mask
+    ran = FinSet.from_members(f.n, (y for _, y in f.pairs)).mask
+    inside = [(j, set(FinSet(f.n, family.sets[j].mask & dom).to_list()),
+               set(FinSet(f.n, family.sets[j2].mask & ran).to_list()))
+              for j, j2 in g.pairs]
     for x, y in f.pairs:
-        for j in g.domain():
-            if (x in family.sets[j]) != (y in family.sets[g.apply(j)]):
-                return dec, (x, j)
-    return dec, None
+        for j, sources, targets in inside:
+            if (x in sources) != (y in targets):
+                return dec, dom, ran, (x, j)
+    return dec, dom, ran, None
 
 
 def check_compatible(f: PartialInjection, g: FamilyMap,
@@ -190,7 +202,7 @@ def check_compatible(f: PartialInjection, g: FamilyMap,
     """Does f respect membership the way g prescribes?  The witness is the
     least (x, j) with x's membership in set j differing from f(x)'s
     membership in set g(j)."""
-    witness = _compatibility(f, g, family)[1]
+    witness = _compatibility(f, g, family)[3]
     return CompatibilityReport(witness is None, witness)
 
 
@@ -343,16 +355,18 @@ def _completion(f: PartialInjection, g: FamilyMap, family: Family
     """What every completion of (f, g) shares, derived once: per cell (in
     signature order) its points outside dom(f), and its image cell's points
     outside ran(f).  Raises IncompatiblePair, or as atoms_of does."""
-    dec, witness = _compatibility(f, g, family)
+    dec, dom, ran, witness = _compatibility(f, g, family)
     if witness is not None:
         raise IncompatiblePair(f"point {witness[0]} disagrees with its image "
                                f"about set {witness[1]}")
-    dom_mask = sum(1 << x for x, _ in f.pairs)  # distinct points: sum is union
-    ran_mask = sum(1 << y for _, y in f.pairs)
-    sources = [FinSet(f.n, a.mask & ~dom_mask).to_list() for a in dec.atoms]
-    targets = [FinSet(f.n, dec.atoms[k2].mask & ~ran_mask).to_list()
-               for k2 in dec.action]
-    return sources, targets
+    source_masks = [a.mask & ~dom for a in dec.atoms]
+    target_masks = [dec.atoms[k2].mask & ~ran for k2 in dec.action]
+    # a target cell whose mask is a source cell's (every one, when dom(f) =
+    # ran(f)) shares that cell's list: each distinct mask is listed once
+    listed = {m: FinSet(f.n, m).to_list()
+              for m in {*source_masks, *target_masks}}
+    return ([listed[m] for m in source_masks],
+            [listed[m] for m in target_masks])
 
 
 def shuffle_sizes(f: PartialInjection, g: FamilyMap,

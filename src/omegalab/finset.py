@@ -21,18 +21,24 @@ The size checks (is_independent, min_combination_size) need only sizes, so
 they AND intersections, not combinations: the same prefix walk gives
 |A_T| = |intersection of the sets indexed by T| for each of the
 sum_{j<=d} C(k,j) index sets T with |T| <= d (|A_()| = n, with no mask of
-the universe built), and each combination's size follows by subtraction,
-|P, Q + x| = |P, Q| - |P + x, Q|: per T one Moebius butterfly over the 2^|T|
-splits of T into pos and neg (Knuth, TAOCP 4A, 7.1.3).  They read n only
-as |A_()|, so they answer at any universe size.
+the universe built), keyed by T as a bitmask carried down the walk, and
+each combination's size follows by subtraction,
+|P, Q + x| = |P, Q| - |P + x, Q|: a Moebius butterfly over the 2^|T|
+splits of T into pos and neg (Knuth, TAOCP 4A, 7.1.3).  The butterfly runs
+on columns, not on one T at a time: for a block of index sets, each of the
+2^d split positions is one column over the block, and each subset-key OR,
+size lookup and subtraction pass is one C-level map over whole columns.
+A block holds at most _SPLIT_VALUES sizes, so memory does not grow with
+C(k,d)*2^d.  They read n only as |A_()|, so they answer at any universe
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress, islice
 from math import comb
-from operator import sub
+from operator import or_, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -300,42 +306,59 @@ def _intersection_sizes(family: Family, depth: int) -> dict[int, int]:
     _check_depth(family, depth)
     masks = [s.mask for s in family.sets]
     chosen: list[int] = []
+    key_of = [0]  # key_of[j]: the key of chosen[:j], carried down the walk
+    sizes: dict[int, int] = {}
+    for mask in _prefix_masks(range(len(masks)), masks, -1, depth, chosen):
+        j = len(chosen)
+        if j:  # the walk moved to a child of chosen[:j - 1]
+            del key_of[j:]
+            key_of.append(key_of[-1] | 1 << chosen[-1])
+        sizes[key_of[j]] = mask.bit_count()
     # base -1 ANDs to each set unchanged; the empty T's size is n itself
-    sizes = {sum(1 << i for i in chosen): mask.bit_count()
-             for mask in _prefix_masks(range(len(masks)), masks, -1, depth,
-                                       chosen)}
     sizes[0] = family.n
     return sizes
 
 
-def _split_sizes(sizes: dict[int, int], t: int) -> list[int]:
-    """The sizes of the 2^|T| combinations (P, T - P) for the index set T,
-    as the list indexed by s whose bit i puts T's i-th least index in P.
+# the most split sizes one block of index sets holds at a time
+_SPLIT_VALUES = 1 << 14
 
-    Starts from |A_P| for every P inside T and, one index x of T at a time,
+
+def _block_splits(sizes: dict[int, int], block: Sequence[tuple[int, ...]]
+                  ) -> list[list[int]]:
+    """For a block of index sets T of one size d, each an ascending tuple,
+    the sizes of the 2^d combinations (P, T - P) of every T: column s holds,
+    per T, the split whose bit i puts T's i-th least index in P.
+
+    Each step is one C-level map over a whole column: the subset keys of
+    split s OR T's index bits into the key of s without its top bit, their
+    |A_P| are dict lookups, and one index x of T at a time the butterfly
     takes |P, Q + x| = |P, Q| - |P + x, Q| for each P without x: a pass
-    pairs each even s with s + 1, then moves s's lowest bit to the top, so
-    after |T| passes every bit was lowest once and the layout is back.
+    pairs each even column s with s + 1, then moves s's lowest bit to the
+    top, so after d passes every bit was lowest once and the layout is back.
     """
-    subsets = [0]  # in order of s
-    rest = t
-    while rest:
-        low = rest & -rest
-        subsets += [p | low for p in subsets]
-        rest ^= low
-    split = list(map(sizes.__getitem__, subsets))
-    for _ in range(t.bit_count()):
+    keys = [[0] * len(block)]  # in order of s
+    for column in zip(*block):
+        bits = list(map((1).__lshift__, column))
+        keys += [list(map(or_, key, bits)) for key in keys]
+    split = [list(map(sizes.__getitem__, key)) for key in keys]
+    del keys  # freed before the passes copy the block's sizes
+    for _ in block[0]:  # one pass per index x of T
         with_x = split[1::2]
-        split = list(map(sub, split[0::2], with_x)) + with_x
+        split = [list(map(sub, a, b)) for a, b in zip(split[0::2], with_x)] \
+            + with_x
     return split
 
 
-def _least_size(sizes: dict[int, int], depth: int) -> int:
+def _least_size(sizes: dict[int, int], count: int, depth: int) -> int:
     # only the index sets of exactly `depth` members need splitting: a
     # combination of lower depth is the disjoint union of its two extensions
-    # by any further index, so it is never smaller than they are
-    return min(min(_split_sizes(sizes, t)) for t in sizes
-               if t.bit_count() == depth)
+    # by any further index, so it is never smaller than they are.  They are
+    # split a block at a time, _SPLIT_VALUES sizes a block, so memory does
+    # not grow with their number
+    index_sets = combinations(range(count), depth)
+    per_block = max(1, _SPLIT_VALUES >> depth)
+    blocks = iter(lambda: list(islice(index_sets, per_block)), [])
+    return min(min(map(min, _block_splits(sizes, block))) for block in blocks)
 
 
 def is_independent(family: Family, threshold: int, depth: int) -> IndependenceReport:
@@ -348,19 +371,19 @@ def is_independent(family: Family, threshold: int, depth: int) -> IndependenceRe
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     sizes = _intersection_sizes(family, depth)
-    smallest = _least_size(sizes, depth)
+    smallest = _least_size(sizes, len(family.sets), depth)
     if smallest >= threshold:
         return IndependenceReport(True, None, smallest, threshold, depth)
     # the least failing spec: walk combination_specs' order, each (pos, neg)
-    # read as split s of T = pos + neg, T's splits taken on first need
-    split_of: dict[int, list[int]] = {}
+    # read as split s of T = pos + neg, T's splits taken on first need as a
+    # block of one
+    split_of: dict[tuple[int, ...], list[list[int]]] = {}
     for _, pos, neg in _combinations([0] * len(family.sets), 0, depth):
-        members = sorted(pos + neg)
-        t = sum(1 << i for i in members)
-        if t not in split_of:
-            split_of[t] = _split_sizes(sizes, t)
-        size = split_of[t][sum(1 << k for k, i in enumerate(members)
-                               if i in pos)]
+        members = tuple(sorted(pos + neg))
+        if members not in split_of:
+            split_of[members] = _block_splits(sizes, [members])
+        size = split_of[members][sum(1 << k for k, i in enumerate(members)
+                                     if i in pos)][0]
         if size < threshold:
             break  # reached: the least size is below the threshold
     return IndependenceReport(False, CombinationSpec(pos, neg), size,
@@ -369,7 +392,8 @@ def is_independent(family: Family, threshold: int, depth: int) -> IndependenceRe
 
 def min_combination_size(family: Family, depth: int) -> int:
     """Smallest combination size over all specs of depth <= `depth`."""
-    return _least_size(_intersection_sizes(family, depth), depth)
+    return _least_size(_intersection_sizes(family, depth), len(family.sets),
+                       depth)
 
 
 def is_saturated(family: Family, bound: int) -> SaturationReport:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,54 @@ class TestCompatibility:
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
             check_compatible(PartialInjection.empty(8), SWAP01, halves4())
+
+    @staticmethod
+    def pairwise_witness(f, g, family):
+        # the least (x, j) by testing each pair's membership set by set
+        for x, y in f.pairs:
+            for j, j2 in g.pairs:
+                if (x in family.sets[j]) != (y in family.sets[j2]):
+                    return x, j
+        return None
+
+    @given(st.integers(1, 24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_equals_pairwise_check(self, n, data):
+        # g permutes some of k random sets, so atoms_of often accepts it;
+        # half the time f is the identity on its domain, compatible when each
+        # A_j and A_g(j) agree there
+        k = data.draw(st.integers(1, 4))
+        family = Family(n, tuple(FinSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+                                 for _ in range(k)))
+        dom = data.draw(st.lists(st.integers(0, k - 1), unique=True))
+        g = FamilyMap(tuple(zip(dom, data.draw(st.permutations(dom)))))
+        xs = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        ys = data.draw(st.permutations(range(n)))[:len(xs)]
+        if data.draw(st.booleans()):
+            ys = xs  # the identity on dom(f): compatible when g is
+        f = PartialInjection(n, tuple(zip(xs, ys)))
+        try:
+            rep = check_compatible(f, g, family)
+        except InducedMapNotPermutation:
+            return
+        expected = self.pairwise_witness(f, g, family)
+        assert rep == (expected is None, expected)
+
+    def test_linear_in_pairs(self):
+        # 104 858 pairs over 2^20 points: testing each pair by shifting a
+        # 2^20-bit mask took seconds; the member sets take well under one
+        n = 1 << 20
+        family = bit_family(2, n)
+
+        def swap(x):  # exchanges bits 0 and 1, as SWAP01 does the sets
+            return x & ~3 | (x & 1) << 1 | x >> 1 & 1
+        f = PartialInjection(n, tuple((x, swap(x)) for x in range(0, n, 10)))
+        bad = PartialInjection(n, f.pairs[:-1] + ((n - 6, n - 6),))
+        started = time.perf_counter()
+        assert check_compatible(f, SWAP01, family).ok
+        assert sum(shuffle_sizes(f, SWAP01, family)) == n - len(f)
+        assert check_compatible(bad, SWAP01, family).witness == (n - 6, 0)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestBuildPermutation:

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -284,14 +286,16 @@ class TestIsIndependent:
     def test_failure_splits_each_index_set_once(self, monkeypatch):
         # the least-size pass splits the 495 index sets of 4 members; the
         # failing spec is then the empty one, whose index set is split once
-        calls = []
-        real = finset._split_sizes
-        monkeypatch.setattr(finset, "_split_sizes",
-                            lambda sizes, t: calls.append(t) or real(sizes, t))
+        split = []
+        real = finset._block_splits
+        monkeypatch.setattr(finset, "_block_splits",
+                            lambda sizes, block: split.extend(block)
+                            or real(sizes, block))
         n = 2 ** 14
         rep = is_independent(bit_family(12, n), n + 1, 4)
         assert rep == IndependenceReport(False, CombinationSpec(), n, n + 1, 4)
-        assert len(calls) <= 495 + 1
+        assert len(split) <= 495 + 1
+        assert len(set(split)) == len(split)
 
     def test_parameter_validation(self):
         fam = bit_family(2, 4)
@@ -410,6 +414,96 @@ class TestCombinationScan:
                 assert count_combinations(k, d) == \
                     len(list(combination_specs(k, d)))
         assert count_combinations(12, 4) == 9969  # a 12-set closure, d = 4
+
+
+def oracle_split_sizes(sizes, t):
+    """The sizes of the 2^|T| combinations (P, T - P) for the index set T
+    (a bitmask), one butterfly per T: the list indexed by s whose bit i puts
+    T's i-th least index in P.  Starts from |A_P| for every P inside T and,
+    one index x of T at a time, takes |P, Q + x| = |P, Q| - |P + x, Q|."""
+    subsets = [0]  # in order of s
+    rest = t
+    while rest:
+        low = rest & -rest
+        subsets += [p | low for p in subsets]
+        rest ^= low
+    split = list(map(sizes.__getitem__, subsets))
+    for _ in range(t.bit_count()):
+        with_x = split[1::2]
+        split = list(map(sub, split[0::2], with_x)) + with_x
+    return split
+
+
+class TestBlockSplits:
+    """The column passes over a block of index sets against the per-T
+    butterfly oracle_split_sizes."""
+
+    @staticmethod
+    def assert_blocks_match_per_t(family, depth, monkeypatch):
+        # min_combination_size's blocks cover the index sets of `depth`
+        # members once each, and each block's column s holds split s of
+        # every T in it
+        blocks = []
+        real = finset._block_splits
+        monkeypatch.setattr(finset, "_block_splits",
+                            lambda sizes, block: blocks.append(
+                                (block, real(sizes, block))) or blocks[-1][1])
+        smallest = min_combination_size(family, depth)
+        sizes = finset._intersection_sizes(family, depth)
+        seen = []
+        for block, columns in blocks:
+            assert len(columns) == 1 << depth
+            for at, t in enumerate(block):
+                expected = oracle_split_sizes(sizes, sum(1 << i for i in t))
+                assert [column[at] for column in columns] == expected
+            seen.extend(block)
+        assert seen == list(itertools.combinations(range(len(family.sets)),
+                                                   depth))
+        assert smallest == min(min(map(min, columns)) for _, columns in blocks)
+        return len(blocks)
+
+    @given(wide_families(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_equal_per_t_butterfly(self, family, data):
+        depth = data.draw(st.integers(0, len(family.sets)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_blocks_match_per_t(family, depth, monkeypatch)
+
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_many_blocks_equal_per_t_butterfly(self, n, data):
+        # 3 432 index sets of 7 members, 128 to a block of 2^14 sizes
+        family = Family(n, tuple(
+            FinSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+            for _ in range(14)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert self.assert_blocks_match_per_t(family, 7, monkeypatch) == 27
+
+    @given(wide_families(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_of_any_index_sets(self, family, data):
+        # any ascending index sets of one size, in any order and any number
+        k = len(family.sets)
+        depth = data.draw(st.integers(0, k))
+        sizes = finset._intersection_sizes(family, depth)
+        pool = list(itertools.combinations(range(k), depth))
+        block = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=12))
+        columns = finset._block_splits(sizes, block)
+        for at, t in enumerate(block):
+            assert [column[at] for column in columns] == \
+                oracle_split_sizes(sizes, sum(1 << i for i in t))
+
+    def test_memory_bounded_by_block(self):
+        # C(14, 7) * 2^7 = 439 296 split sizes, taken 2^14 at a time
+        tracemalloc.start()
+        try:
+            smallest = min_combination_size(bit_family(14, 2 ** 14), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert smallest == 128
+        assert peak < 4 << 20
 
 
 class TestIsSaturated:
