@@ -60,6 +60,16 @@ def _cut_argument(m: re.Match) -> str:
     return f"{quote}{arg[:20]}...{quote} ({len(arg)} characters)"
 
 
+_LONG_NUMBER = re.compile(r"\d{41,}")
+
+
+def _cut_numbers(e: BaseException) -> str:
+    """The error's message with each number past 40 digits cut to its head
+    and digit count, so a line that echoes a number does not grow with it."""
+    return _LONG_NUMBER.sub(
+        lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", str(e))
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2); the exit-status contract wants 64
     def error(self, message):
@@ -409,14 +419,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _say(f"bad JSON: {e}")
         return EX_DATA
     except (IncompatiblePair, GridOverflow) as e:
-        _say(f"invalid data: {e}")
+        _say(f"invalid data: {_cut_numbers(e)}")
         return EX_DATA
     except (SearchExhausted, CardinalityMismatch,
             InducedMapNotPermutation) as e:
-        _say(f"degraded: {e}")
+        _say(f"degraded: {_cut_numbers(e)}")
         return EX_DEGRADED
     except ValueError as e:
-        _say(f"invalid data: {e}")
+        _say(f"invalid data: {_cut_numbers(e)}")
         return EX_DATA
     except OSError as e:
         _say(f"io error: {e}")

@@ -3,8 +3,11 @@
 A finite family of sets cuts the universe into cells ("atoms").  A partial
 map g on family indices induces a map on those cells; a partial injection f
 on points is *compatible* with g when it sends each point's cell to the
-image cell.  build_permutation completes such a pair to a full permutation,
-filling each cell with an order bijection twisted by a per-cell shuffle.
+image cell.  atoms_of takes the non-empty cells of dom(g)'s sets, and of
+their images, from finset.cells: O(|g| * min(2^|g|, N)) ANDs of N-bit
+masks, however many of the 2^|g| signatures are empty.  build_permutation
+completes such a pair to a full permutation, filling each cell with an
+order bijection twisted by a per-cell shuffle.
 Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
 Sets are imaged a front at a time, in C-level passes with no Python loop
@@ -28,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 from .config import HOMOG_TAG, child_seed
 from .errors import (CardinalityMismatch, IncompatiblePair,
                      InducedMapNotPermutation)
-from .finset import (Family, FinSet, IndependenceReport, full_mask,
+from .finset import (Family, FinSet, IndependenceReport, cells, full_mask,
                      min_combination_size)
 
 
@@ -124,47 +127,35 @@ class AtomDecomposition(NamedTuple):
     action: tuple[int, ...]
 
 
-def _cells(full: int, set_masks: Sequence[int]) -> list[int]:
-    """cells[sig]: the points lying in the j-th set exactly when bit j of
-    sig is set, cut one set at a time (the outside half first keeps the
-    list in signature order)."""
-    cells = [full]
-    for sm in set_masks:
-        outside = ~sm
-        cells = [c & outside for c in cells] + [c & sm for c in cells]
-    return cells
-
-
 def atoms_of(g: FamilyMap, family: Family) -> AtomDecomposition:
     """Cut the universe by the sets named in dom(g) and read off how g moves
     the cells; raises InducedMapNotPermutation when the moved cells do not
-    line up with the decomposition."""
+    line up with the decomposition.
+
+    The image cut is the same cut of the sets named in ran(g), so an image
+    cell shares its source cell's signature.  Image cells of distinct
+    signatures are disjoint, so once each is a cell of the decomposition the
+    induced map is a bijection.
+    """
     count = len(family.sets)
-    dom = g.domain()
-    for j in dom:
-        if not (0 <= j < count and 0 <= g.apply(j) < count):
-            raise ValueError(f"family map touches index outside [0, {count})")
+    # FamilyMap keeps every index >= 0
+    if any(j >= count or j2 >= count for j, j2 in g.pairs):
+        raise ValueError(f"family map touches index outside [0, {count})")
     full = full_mask(family.n)
-    cells = _cells(full, [family.sets[j].mask for j in dom])
-    images = _cells(full, [family.sets[g.apply(j)].mask for j in dom])
-    pos_by_mask: dict[int, int] = {}  # nonempty cells, ascending signature
-    sigs = []
-    for sig, cell in enumerate(cells):
-        if cell:
-            pos_by_mask[cell] = len(sigs)
-            sigs.append(sig)
+    cut = cells([family.sets[j].mask for j, _ in g.pairs], full)
+    image_of = dict(cells([family.sets[j2].mask for _, j2 in g.pairs], full))
+    position = {mask: k for k, (_, mask) in enumerate(cut)}
     action = []
-    for sig in sigs:
-        k2 = pos_by_mask.get(images[sig])
+    for sig, _ in cut:
+        k2 = position.get(image_of.get(sig))
         if k2 is None:
             raise InducedMapNotPermutation(
                 f"image of the cell with signature {sig} is not a cell of "
                 f"the decomposition")
         action.append(k2)
-    if len(set(action)) != len(action):
-        raise InducedMapNotPermutation("induced cell map is not a bijection")
-    atoms = tuple(FinSet(family.n, m) for m in pos_by_mask)
-    return AtomDecomposition(family.n, atoms, tuple(sigs), tuple(action))
+    atoms = tuple(FinSet(family.n, mask) for _, mask in cut)
+    return AtomDecomposition(family.n, atoms, tuple(sig for sig, _ in cut),
+                             tuple(action))
 
 
 class CompatibilityReport(NamedTuple):

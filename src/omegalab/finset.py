@@ -31,6 +31,14 @@ size lookup and subtraction pass is one C-level map over whole columns.
 A block holds at most _SPLIT_VALUES sizes, so memory does not grow with
 C(k,d)*2^d.  They read n only as |A_()|, so they answer at any universe
 size.
+
+The non-empty cells of k sets (the atoms of the Boolean algebra they
+generate) come from one cut, cells: each set splits every block so far into
+its outside and inside halves, and empty halves are dropped, so at most
+min(2^k, |full|) blocks are ever held and the cut costs
+O(k * min(2^k, |full|)) ANDs; this is the partition-refinement step
+(Paige and Tarjan, SIAM J. Comput. 16(6), 1987).  The size checks do not
+use it: their intersection walk is cheaper than a histogram of cells.
 """
 
 from __future__ import annotations
@@ -263,6 +271,24 @@ def _combinations(masks: Sequence[int], full: int, depth: int
         for mask in _prefix_masks(rest, complements, pos_mask,
                                   depth - len(pos), neg):
             yield mask, pos_t, tuple(neg)
+
+
+def cells(masks: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """(signature, mask) of every non-empty cell the masks cut `full` into,
+    in ascending signature order; bit t of a signature is membership in
+    masks[t].
+
+    Each mask splits every block into its outside half and its inside half,
+    outside halves first, which keeps the signatures ascending, and empty
+    halves are dropped: at most min(2^t, |full|) blocks meet the t-th mask.
+    """
+    blocks = [(0, full)] if full else []
+    for t, m in enumerate(masks):
+        outside = ~m
+        halves = ([(sig, b & outside) for sig, b in blocks]
+                  + [(sig | 1 << t, b & m) for sig, b in blocks])
+        blocks = [(sig, b) for sig, b in halves if b]
+    return blocks
 
 
 def combination_specs(count: int, depth: int) -> Iterator[CombinationSpec]:

@@ -9,6 +9,7 @@ would, and pins the documented exit statuses: 0 pass, 1 violation,
 import contextlib
 import hashlib
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -275,6 +276,43 @@ class TestExtendPerm:
                       args["--L"], "--budget", budget, "--seed", "5")
         assert res.returncode == 65
         assert res.stdout == "" and "must be >= 0" in res.stderr
+
+    def test_26_sets_over_64_points_under_the_address_space_cap(self,
+                                                                 workdir):
+        # the cell cut keeps only non-empty cells: at most 64 here, where a
+        # cut of every signature lists 2^26 and fails under the cap
+        rng = random.Random(26)
+        sets = []
+        while len(sets) < 26:
+            s = sorted(rng.sample(range(64), 32))
+            if s not in sets:
+                sets.append(s)
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": 64, "sets": sets})
+        demand = workdir / "demand.json"
+        write_json(str(demand), {"f": [], "g": [[j, j] for j in range(26)]})
+        res = run_cli_capped("extend-perm", "--family", str(fam), "--demand",
+                             str(demand), "--t", "1", "--d", "1", "--L", "0",
+                             "--budget", "1", "--seed", "0", timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert sorted(json.loads(res.stdout)["permutation"]) == list(range(64))
+
+    @pytest.mark.parametrize("family, f", [
+        ({"N": 8, "sets": [[0, 1]]}, [[0, 10 ** 1000]]),
+        ({"N": 10 ** 1000, "sets": [[0, 1]]}, [])])
+    def test_huge_number_is_cut_in_the_error_line(self, workdir, family, f):
+        # a data error echoes the number it refuses: its 1 001 digits used
+        # to make a stderr line that grew with the input
+        fam = workdir / "fam.json"
+        write_json(str(fam), family)
+        demand = workdir / "demand.json"
+        write_json(str(demand), {"f": f, "g": []})
+        res = run_cli("extend-perm", "--family", str(fam), "--demand",
+                      str(demand), "--t", "1", "--d", "1", "--L", "0",
+                      "--budget", "1", "--seed", "0")
+        assert res.returncode == 65
+        assert res.stderr.count("\n") == 1 and len(res.stderr) < 160
+        assert "10000000000000000000... (1001 digits)" in res.stderr
 
 
 class TestCloseOrbit:
@@ -552,14 +590,14 @@ class TestDiagExperiment:
             "52470593ef42578379ffcb833f42f8c5df32c1620e874ecebd80ad07457616e3")
 
 
-def run_cli_capped(*args):
+def run_cli_capped(*args, timeout=120):
     # a 1 GiB address-space cap: a build of a huge mask fails in the child
     # instead of taking the machine's memory
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     return subprocess.run([sys.executable, "-m", "omegalab", *args],
                           capture_output=True, text=True, preexec_fn=cap,
-                          timeout=120)
+                          timeout=timeout)
 
 
 class TestUniverseCap:

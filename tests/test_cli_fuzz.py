@@ -1,0 +1,142 @@
+"""Fuzz `extend-perm` against the CLI's exit-status contract.
+
+Each case writes a family file and a demand file, mostly well-formed and
+sometimes mutated (wrong types, bools, negatives, duplicates, huge ints,
+missing keys), and runs `python -m omegalab extend-perm` on them with
+drawn integer flags, in a child process under a 1 GiB address-space cap
+and a wall-clock timeout.  Every case must end in a documented status
+other than 70, with no traceback; an error exit prints one stderr line
+whose length does not grow with the input.  Sizes stay small (k <= 30
+sets, N <= 256 points, d <= 2, L <= 1, budget <= 2) so that no case is
+slow by its own meaning.
+"""
+
+import json
+import random
+import resource
+import subprocess
+import sys
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+ALLOWED_EXITS = {0, 1, 2, 64, 65, 66, 74}
+# the longest error line a case may print: well above any fixed message,
+# well below the echo of one of the huge ints drawn below
+MAX_ERROR_LINE = 240
+CASE_TIMEOUT_S = 20
+
+HUGE = st.sampled_from([10 ** 12, (1 << 26) + 1, 10 ** 60, -(10 ** 60),
+                        10 ** 1000, -(10 ** 300)])
+JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                 st.floats(-2, 2), st.just([]), st.just({}))
+
+
+def some_int(low, high):
+    # in [low, high] two times in three, else huge
+    return st.one_of(st.integers(low, high), st.integers(low, high), HUGE)
+
+
+def mutated(value, draw):
+    """The value, or one time in sixteen a huge int or a wrong type."""
+    if draw(st.integers(0, 15)):
+        return value
+    return draw(st.one_of(HUGE, JUNK))
+
+
+@st.composite
+def family_obj(draw):
+    n = draw(st.integers(1, 256))
+    k = draw(st.integers(0, 29))  # 30 with the duplicate below
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):  # bit sets: a permuted g often induces a bijection
+        sets = [[x for x in range(n) if x >> j & 1] for j in range(k)]
+    else:
+        p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+        sets = [[x for x in range(n) if rng.random() < p] for _ in range(k)]
+    if sets and draw(st.booleans()):
+        sets.append(list(sets[rng.randrange(len(sets))]))  # a duplicate set
+    if sets and not draw(st.integers(0, 7)):  # one stray member
+        at = rng.randrange(len(sets))
+        sets[at] = mutated(sets[at] + [draw(some_int(-2, n + 2))], draw)
+    obj = {"N": mutated(n, draw), "sets": mutated(sets, draw)}
+    if not draw(st.integers(0, 5)):
+        obj["labels"] = mutated([f"s{j}" for j in range(len(sets))], draw)
+    if not draw(st.integers(0, 15)):
+        del obj[draw(st.sampled_from(["N", "sets"]))]
+    return obj, n, len(sets)
+
+
+def pair_list(draw, pairs, bound):
+    out = [list(p) for p in pairs]
+    if not draw(st.integers(0, 7)):  # one stray pair
+        out.append([draw(some_int(-2, bound + 2)), draw(some_int(-2, bound + 2))])
+    if out and not draw(st.integers(0, 7)):
+        out[0] = mutated(out[0][:draw(st.integers(0, 3))], draw)
+    return mutated(out, draw)
+
+
+@st.composite
+def demand_obj(draw, n, k):
+    dom = draw(st.lists(st.integers(0, max(k - 1, 0)), unique=True,
+                        max_size=k))
+    image = dom if draw(st.booleans()) else draw(st.permutations(dom))
+    xs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=8))
+    ys = xs if draw(st.integers(0, 3)) else \
+        draw(st.lists(st.integers(0, n - 1), unique=True, min_size=len(xs),
+                      max_size=len(xs)))
+    obj = {"f": pair_list(draw, zip(xs, ys), n),
+           "g": pair_list(draw, zip(dom, image), k)}
+    if not draw(st.integers(0, 15)):
+        del obj[draw(st.sampled_from(["f", "g"]))]
+    return mutated(obj, draw)
+
+
+BAD_ARGUMENTS = ["1" + "0" * 4300, "-" + "9" * 50, "x", "", "1.5"]
+
+
+@st.composite
+def case(draw):
+    family, n, k = draw(family_obj())
+    demand = draw(demand_obj(n, k))
+    ranges = {"--t": (1, 64), "--d": (0, 2), "--L": (0, 1), "--budget": (0, 2),
+              "--seed": (-(10 ** 20), 10 ** 20)}
+    flags = {}
+    for name, (low, high) in ranges.items():
+        flags[name] = str(draw(st.integers(low, high)))
+        if not draw(st.integers(0, 11)):  # negative, huge or malformed
+            flags[name] = draw(st.one_of(st.integers(-3, 0).map(str),
+                                         st.sampled_from(BAD_ARGUMENTS)))
+    return family, demand, flags
+
+
+def run_capped(args):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "omegalab", *args],
+                          capture_output=True, text=True, preexec_fn=cap,
+                          timeout=CASE_TIMEOUT_S)
+
+
+def assert_contract(res):
+    assert res.returncode in ALLOWED_EXITS, res.stderr
+    assert "Traceback" not in res.stderr
+    if res.returncode != 0:
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and res.stderr.endswith("\n"), res.stderr
+        assert len(lines[0]) <= MAX_ERROR_LINE, lines[0][:400]
+
+
+@given(case())
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_extend_perm_keeps_the_exit_contract(tmp_path, drawn):
+    family, demand, flags = drawn
+    fam, dem = tmp_path / "fam.json", tmp_path / "demand.json"
+    fam.write_text(json.dumps(family))
+    dem.write_text(json.dumps(demand))
+    args = ["extend-perm", "--family", str(fam), "--demand", str(dem)]
+    for name, value in flags.items():
+        args.append(f"{name}={value}")
+    assert_contract(run_capped(args))

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from omegalab import extender
 from omegalab.errors import (CardinalityMismatch, IncompatiblePair,
                              InducedMapNotPermutation)
-from omegalab.extender import (AtomShuffle, FamilyMap, PartialInjection,
-                               Permutation, atoms_of,
+from omegalab.extender import (AtomDecomposition, AtomShuffle, FamilyMap,
+                               PartialInjection, Permutation, atoms_of,
                                build_permutation, check_compatible,
                                find_independent_shuffle, homogenize,
                                orbit_closure, shuffle_sizes)
-from omegalab.finset import (MAX_UNIVERSE, Family, FinSet, bit_family,
-                             is_independent)
+from omegalab.finset import (MAX_UNIVERSE, Family, FinSet, bit_family, cells,
+                             full_mask, is_independent)
 
 SWAP01 = FamilyMap.from_dict({0: 1, 1: 0})
 
@@ -68,6 +68,107 @@ class TestAtoms:
         fam = Family.from_lists(MAX_UNIVERSE + 1, [[0]])
         with pytest.raises(ValueError, match="past the cap"):
             atoms_of(FamilyMap(((0, 0),)), fam)
+
+    def test_forty_sets_over_64_points(self):
+        # at most 64 cells are non-empty, and only those are cut: a cut of
+        # every signature would list 2^40
+        rng = random.Random(40)
+        fam = Family(64, tuple(FinSet(64, rng.getrandbits(64))
+                               for _ in range(40)))
+        started = time.perf_counter()
+        dec = atoms_of(FamilyMap(tuple((j, j) for j in range(40))), fam)
+        assert time.perf_counter() - started < 0.5
+        assert 1 <= len(dec.atoms) <= 64 and dec.action == tuple(
+            range(len(dec.atoms)))
+        assert sum(len(a) for a in dec.atoms) == 64
+
+
+def oracle_cut(full, masks):
+    # cut[sig]: the points lying in the t-th mask exactly when bit t of sig
+    # is set, listed for every one of the 2^len(masks) signatures
+    cut = [full]
+    for m in masks:
+        cut = [c & ~m for c in cut] + [c & m for c in cut]
+    return cut
+
+
+def oracle_atoms_of(g, family):
+    # atoms_of read off the cut of every signature
+    count = len(family.sets)
+    for j in g.domain():
+        if not (0 <= j < count and 0 <= g.apply(j) < count):
+            raise ValueError(f"family map touches index outside [0, {count})")
+    full = full_mask(family.n)
+    cut = oracle_cut(full, [family.sets[j].mask for j in g.domain()])
+    images = oracle_cut(full, [family.sets[g.apply(j)].mask
+                               for j in g.domain()])
+    position = {}
+    sigs = []
+    for sig, cell in enumerate(cut):
+        if cell:
+            position[cell] = len(sigs)
+            sigs.append(sig)
+    action = []
+    for sig in sigs:
+        if images[sig] not in position:
+            raise InducedMapNotPermutation(
+                f"image of the cell with signature {sig} is not a cell of "
+                f"the decomposition")
+        action.append(position[images[sig]])
+    if len(set(action)) != len(action):
+        raise InducedMapNotPermutation("induced cell map is not a bijection")
+    return AtomDecomposition(family.n, tuple(FinSet(family.n, m)
+                                             for m in position),
+                             tuple(sigs), tuple(action))
+
+
+@st.composite
+def families_and_maps(draw):
+    # sets drawn from a small pool holding the empty set, the universe, bit
+    # sets and repeats, so that g often permutes the cells it cuts
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, 8))
+    bits = [m for j in range(n.bit_length())
+            if (m := sum(1 << x for x in range(n) if x >> j & 1))]
+    pool = st.one_of(st.just(0), st.just((1 << n) - 1),
+                     st.sampled_from(bits or [0]),
+                     st.integers(0, (1 << n) - 1))
+    family = Family(n, tuple(FinSet(n, draw(pool)) for _ in range(k)))
+    dom = draw(st.permutations(range(k)))[:draw(st.integers(0, k))]
+    if draw(st.integers(0, 3)):
+        image = draw(st.permutations(dom))
+    else:  # any injective image, now and then past the last index
+        image = draw(st.permutations(range(k + 1)))[:len(dom)]
+    return family, FamilyMap(tuple(zip(dom, image)))
+
+
+class TestCellCut:
+    @given(families_and_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_are_the_non_empty_cells_of_the_full_cut(self, drawn):
+        family, _ = drawn
+        masks = [s.mask for s in family.sets]
+        full = full_mask(family.n)
+        assert cells(masks, full) == [
+            (sig, cell) for sig, cell in enumerate(oracle_cut(full, masks))
+            if cell]
+
+    @given(families_and_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_atoms_of_equals_the_oracle(self, drawn):
+        family, g = drawn
+        try:
+            expected = oracle_atoms_of(g, family)
+        except (ValueError, InducedMapNotPermutation) as e:
+            with pytest.raises(type(e)) as got:
+                atoms_of(g, family)
+            assert type(got.value) is type(e) and str(got.value) == str(e)
+        else:
+            assert atoms_of(g, family) == expected
+
+    def test_empty_universe_mask_has_no_cells(self):
+        assert cells([0b1010], 0) == []
+        assert cells([], 0b111) == [(0, 0b111)]
 
 
 class TestCompatibility:

@@ -184,3 +184,19 @@ def test_replaced_records_stay_dataclasses():
     assert isinstance(rep, ShuffleSearchReport)
     bumped = dataclasses.replace(rep, attempts=rep.budget + 1)
     assert bumped.attempts == 2 and bumped.exhausted == rep.exhausted
+
+
+def test_line_kinds_script(tmp_path):
+    # the CI step's per-kind line count: a docstring opens the module and a
+    # def's body, not a one-line body; the string after it is code
+    source = tmp_path / "sample.py"
+    source.write_text('"""Module\n\ndocstring."""\n\n# a comment\n'
+                      'def f():\n    # its comment\n    """Doc."""\n'
+                      '    return "x"  # trailing\n\n'
+                      'def g(): return 1\n"""not a docstring"""\n')
+    res = subprocess.run([sys.executable, "scripts/line_kinds.py",
+                          str(source)], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1].split() == ["total", "4", "4", "2",
+                                                   "2"]
