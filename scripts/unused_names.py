@@ -1,0 +1,64 @@
+"""List each def or class of a package whose name nothing else uses.
+
+    python scripts/unused_names.py src/omegalab src bench scripts
+
+The first path is scanned for definitions; it and every .py file under the
+paths after it are read for uses.  A use is an identifier (a name, an
+attribute, an imported name or a keyword argument) or a string constant
+equal to the name, as when a tracer wraps functions it names in strings.
+A def or class line is not a use of its own name, and a word inside a
+docstring or comment is none either; names are matched without regard to
+scope, so a method counts as used wherever its name is.  Dunder names and
+the CLI's _cmd_* handlers are left out.  Prints one line per unused name and
+a count; gates nothing.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+# dunders, and the CLI handlers that set_defaults hands to argparse
+LEFT_OUT = re.compile(r"__\w*__$|_cmd_")
+
+
+def python_files(path: str) -> list[Path]:
+    p = Path(path)
+    return sorted(p.rglob("*.py")) if p.is_dir() else [p]
+
+
+def uses(tree: ast.AST) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def definitions(tree: ast.AST) -> list[tuple[int, str]]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, kinds) and not LEFT_OUT.match(node.name))
+
+
+def main(paths: list[str]) -> None:
+    trees = {f: ast.parse(f.read_bytes(), str(f))
+             for path in paths for f in python_files(path)}
+    used = set().union(*map(uses, trees.values()))
+    unused = [f"{f}:{line}: {name}" for f in python_files(paths[0])
+              for line, name in definitions(trees[f]) if name not in used]
+    for line in unused:
+        print(line)
+    print(f"{len(unused)} unused names")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

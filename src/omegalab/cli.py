@@ -49,10 +49,12 @@ class _UsageError(Exception):
     pass
 
 
-# an argument argparse refused, quoted ("invalid int value: '...'") or bare
-# ("unrecognized arguments: ..."): past 40 characters the usage line gives
-# its head and length, so the line does not grow with it
+# an argument or path an error line echoes, quoted ("invalid int value:
+# '...'", "No such file or directory: '...'") or bare ("unrecognized
+# arguments: ...", a missing input): past 40 characters the line gives its
+# head and length, so the line does not grow with it
 _LONG_ARGUMENT = re.compile(r"'([^']{41,})'|([^\s']{41,})")
+_LONG_NUMBER = re.compile(r"\d{41,}")
 
 
 def _cut_argument(m: re.Match) -> str:
@@ -60,18 +62,19 @@ def _cut_argument(m: re.Match) -> str:
     return f"{quote}{arg[:20]}...{quote} ({len(arg)} characters)"
 
 
-_LONG_NUMBER = re.compile(r"\d{41,}")
-
-
-def _cut_numbers(e: BaseException) -> str:
-    """The error's message with each number past 40 digits cut to its head
-    and digit count, so a line that echoes a number does not grow with it."""
-    return _LONG_NUMBER.sub(
-        lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", str(e))
+def _cut(line: str) -> str:
+    """The line with each number past 40 digits cut to its head and digit
+    count, then each argument or path past 40 characters cut to its head
+    and length, so an error line does not grow with what it echoes."""
+    line = _LONG_NUMBER.sub(
+        lambda m: f"{m[0][:20]}... ({len(m[0])} digits)", line)
+    return _LONG_ARGUMENT.sub(_cut_argument, line)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse would sys.exit(2); the exit-status contract wants 64
+    # argparse would sys.exit(2); the exit-status contract wants 64.  The
+    # refused argument is cut here, as an argument, before main's cut could
+    # take its digits for a number
     def error(self, message):
         raise _UsageError(_LONG_ARGUMENT.sub(_cut_argument, message))
 
@@ -410,30 +413,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as e:
-        _say(f"usage error: {e}")
-        return EX_USAGE
+        status, line = EX_USAGE, f"usage error: {e}"
     except FileNotFoundError as e:
-        _say(f"missing input: {e.filename if e.filename else e}")
-        return EX_NOINPUT
+        status, line = EX_NOINPUT, f"missing input: {e.filename or e}"
     except json.JSONDecodeError as e:
-        _say(f"bad JSON: {e}")
-        return EX_DATA
-    except (IncompatiblePair, GridOverflow) as e:
-        _say(f"invalid data: {_cut_numbers(e)}")
-        return EX_DATA
+        status, line = EX_DATA, f"bad JSON: {e}"
     except (SearchExhausted, CardinalityMismatch,
             InducedMapNotPermutation) as e:
-        _say(f"degraded: {_cut_numbers(e)}")
-        return EX_DEGRADED
-    except ValueError as e:
-        _say(f"invalid data: {_cut_numbers(e)}")
-        return EX_DATA
+        status, line = EX_DEGRADED, f"degraded: {e}"
+    except (IncompatiblePair, GridOverflow, ValueError) as e:
+        status, line = EX_DATA, f"invalid data: {e}"
     except OSError as e:
-        _say(f"io error: {e}")
-        return EX_IOERR
+        status, line = EX_IOERR, f"io error: {e}"
     except Exception as e:  # a fault of the program, never exit 1
-        _say(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}")
-        return EX_SOFTWARE
+        status = EX_SOFTWARE
+        line = f"internal error: {type(e).__name__}: {' '.join(str(e).split())}"
+    _say(_cut(line))
+    return status
 
 
 def script_entry() -> None:

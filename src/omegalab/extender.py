@@ -46,28 +46,9 @@ def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int
     return ordered
 
 
-class _PairMap:
-    """Finitely many (source, target) pairs, sorted by source."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def _forward(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    def apply(self, x: int) -> int:
-        return self._forward[x]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 @dataclass(frozen=True)
-class PartialInjection(_PairMap):
-    """Finitely many point pairs (x, y), injective, inside [0, n)."""
+class PartialInjection:
+    """Finitely many point pairs (x, y), injective, inside [0, n), sorted."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
@@ -89,16 +70,10 @@ class PartialInjection(_PairMap):
     def empty(cls, n: int) -> "PartialInjection":
         return cls(n, ())
 
-    def targets(self) -> tuple[int, ...]:
-        return tuple(sorted(b for _, b in self.pairs))
-
-    def defined_at(self, x: int) -> bool:
-        return x in self._forward
-
 
 @dataclass(frozen=True)
-class FamilyMap(_PairMap):
-    """An injective partial map on family indices."""
+class FamilyMap:
+    """An injective partial map on family indices, as its sorted pairs."""
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -343,9 +318,10 @@ class Permutation:
 
 def _completion(f: PartialInjection, g: FamilyMap, family: Family
                 ) -> tuple[list[list[int]], list[list[int]]]:
-    """What every completion of (f, g) shares, derived once: per cell (in
-    signature order) its points outside dom(f), and its image cell's points
-    outside ran(f).  Raises IncompatiblePair, or as atoms_of does."""
+    """What every completion of (f, g) shares, derived and checked once: per
+    cell (in signature order) its points outside dom(f), and its image
+    cell's points outside ran(f).  Raises IncompatiblePair or
+    CardinalityMismatch, or as atoms_of does."""
     dec, dom, ran, witness = _compatibility(f, g, family)
     if witness is not None:
         raise IncompatiblePair(f"point {witness[0]} disagrees with its image "
@@ -356,8 +332,14 @@ def _completion(f: PartialInjection, g: FamilyMap, family: Family
     # ran(f)) shares that cell's list: each distinct mask is listed once
     listed = {m: FinSet(f.n, m).to_list()
               for m in {*source_masks, *target_masks}}
-    return ([listed[m] for m in source_masks],
-            [listed[m] for m in target_masks])
+    sources = [listed[m] for m in source_masks]
+    targets = [listed[m] for m in target_masks]
+    for k, (src, tgt) in enumerate(zip(sources, targets)):
+        if len(src) != len(tgt):
+            raise CardinalityMismatch(
+                f"cell {k} has {len(src)} free points but its image cell "
+                f"has {len(tgt)}")
+    return sources, targets
 
 
 def shuffle_sizes(f: PartialInjection, g: FamilyMap,
@@ -369,23 +351,13 @@ def shuffle_sizes(f: PartialInjection, g: FamilyMap,
 
 def _complete(f: PartialInjection, sources: list[list[int]],
               targets: list[list[int]], shuffle: AtomShuffle) -> Permutation:
-    if len(shuffle.perms) != len(sources):
-        raise ValueError(f"shuffle covers {len(shuffle.perms)} cells, "
-                         f"decomposition has {len(sources)}")
+    # _completion checked the cells and the caller the shuffle's shape
     images = [-1] * f.n
     for x, y in f.pairs:
         images[x] = y
-    for k, (src, tgt) in enumerate(zip(sources, targets)):
-        if len(src) != len(tgt):
-            raise CardinalityMismatch(
-                f"cell {k} has {len(src)} free points but its image cell "
-                f"has {len(tgt)}")
-        perm_k = shuffle.perms[k]
-        if len(perm_k) != len(src):
-            raise ValueError(f"shuffle for cell {k} has length "
-                             f"{len(perm_k)}, cell needs {len(src)}")
-        for pos, x in enumerate(src):
-            images[x] = tgt[perm_k[pos]]
+    for src, tgt, perm_k in zip(sources, targets, shuffle.perms):
+        for x, pos in zip(src, perm_k):
+            images[x] = tgt[pos]
     return Permutation(f.n, tuple(images))
 
 
@@ -396,9 +368,18 @@ def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
     Cell by cell (ascending signature), the points outside dom(f) go to the
     image cell's points outside ran(f), in order twisted by the shuffle.
     Raises IncompatiblePair, InducedMapNotPermutation or CardinalityMismatch
-    when the data cannot be completed this way.
+    when the data cannot be completed this way, and then ValueError when
+    the shuffle's shape is not shuffle_sizes.
     """
-    return _complete(f, *_completion(f, g, family), shuffle)
+    sources, targets = _completion(f, g, family)
+    if len(shuffle.perms) != len(sources):
+        raise ValueError(f"shuffle covers {len(shuffle.perms)} cells, "
+                         f"decomposition has {len(sources)}")
+    for k, (perm_k, src) in enumerate(zip(shuffle.perms, sources)):
+        if len(perm_k) != len(src):
+            raise ValueError(f"shuffle for cell {k} has length "
+                             f"{len(perm_k)}, cell needs {len(src)}")
+    return _complete(f, sources, targets, shuffle)
 
 
 def orbit_closure(family: Family, perm: Permutation, layers: int) -> Family:

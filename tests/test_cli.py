@@ -211,7 +211,12 @@ class TestGenFamilyAndChecks:
                       "--out", str(out))
         assert res.returncode == 74
         assert res.stderr.startswith("io error: ")
-        assert res.stderr.count("\n") == 1 and str(out) in res.stderr
+        # the line names the path, cut to its head and length past 40
+        # characters as any echoed argument is
+        path = str(out)
+        named = path if len(path) <= 40 else \
+            f"'{path[:20]}...' ({len(path)} characters)"
+        assert res.stderr.count("\n") == 1 and named in res.stderr
         assert res.stdout == ""
 
 
@@ -244,15 +249,21 @@ class TestExtendPerm:
                       "--budget", "20", "--seed", "5")
         assert res.returncode == 65
 
-    def test_cardinality_mismatch_is_degraded(self, workdir):
+    @pytest.mark.parametrize("budget", ["0", "5"])
+    def test_cardinality_mismatch_is_degraded(self, workdir, budget):
+        # the pair is refused before any attempt, so a zero budget refuses
+        # it too, instead of reporting an exhausted search
         fam = workdir / "skew.json"
         write_json(str(fam), {"N": 5, "sets": [[0, 1], [2, 3, 4]]})
         demand = workdir / "demand.json"
         write_json(str(demand), {"f": [], "g": [[0, 1], [1, 0]]})
         res = run_cli("extend-perm", "--family", str(fam), "--demand",
                       str(demand), "--t", "1", "--d", "1", "--L", "1",
-                      "--budget", "5", "--seed", "0")
+                      "--budget", budget, "--seed", "0")
         assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("degraded: cell 0 has 2 free points but its "
+                              "image cell has 3\n")
 
     def test_budget_exhaustion_is_degraded(self, workdir):
         fam, demand = self.make_inputs(workdir)
@@ -724,6 +735,29 @@ class TestUsageAndEnvironment:
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: deep inside\n"
         assert captured.out == ""
+
+    def test_long_file_name_is_cut_in_the_io_error_line(self, workdir):
+        # a 3 000-character name is refused by the system (ENAMETOOLONG):
+        # the io error line used to echo it whole, 3 044 bytes
+        res = run_cli("extend-perm", "--family", "a" * 3000, "--demand",
+                      str(workdir / "demand.json"), "--t", "1", "--d", "1",
+                      "--L", "0", "--budget", "1", "--seed", "0")
+        assert res.returncode == 74
+        assert res.stderr.count("\n") == 1
+        assert len(res.stderr.rstrip("\n").encode()) <= 240
+        assert f"'{'a' * 20}...' (3000 characters)" in res.stderr
+
+    def test_long_missing_path_is_cut_in_the_missing_input_line(self,
+                                                                workdir):
+        # 200 + 200 characters below a real directory: the missing input
+        # line used to echo the whole path, 431 bytes
+        path = workdir / ("b" * 200) / ("c" * 200)
+        res = run_cli("check-indep", "--family", str(path), "--t", "1")
+        assert res.returncode == 66
+        assert res.stderr.count("\n") == 1
+        assert len(res.stderr.rstrip("\n").encode()) <= 240
+        assert res.stderr.startswith("missing input: ")
+        assert f"({len(str(path))} characters)" in res.stderr
 
 
 def _zero_grid_families(rows, cols):

@@ -1,14 +1,18 @@
-"""Fuzz `extend-perm` against the CLI's exit-status contract.
+"""Fuzz `extend-perm` and `close-orbit` against the CLI's exit-status
+contract.
 
-Each case writes a family file and a demand file, mostly well-formed and
-sometimes mutated (wrong types, bools, negatives, duplicates, huge ints,
-missing keys), and runs `python -m omegalab extend-perm` on them with
-drawn integer flags, in a child process under a 1 GiB address-space cap
-and a wall-clock timeout.  Every case must end in a documented status
-other than 70, with no traceback; an error exit prints one stderr line
-whose length does not grow with the input.  Sizes stay small (k <= 30
-sets, N <= 256 points, d <= 2, L <= 1, budget <= 2) so that no case is
-slow by its own meaning.
+Each case writes a family file and a demand or permutation file, mostly
+well-formed and sometimes mutated (wrong types, bools, negatives,
+duplicates, out-of-range values, huge ints, missing keys), and runs
+`python -m omegalab extend-perm` or `close-orbit` on them with drawn
+integer flags, in a child process under a 1 GiB address-space cap and a
+wall-clock timeout.  Every case must end in a documented status other than
+70, with no traceback; an error exit prints one stderr line whose length
+does not grow with the input.  Sizes stay small (k <= 30 sets, N <= 256
+points, d <= 2, L <= 1, budget <= 2, layers <= 3) so that no case is slow
+by its own meaning.  The layers stay small because nothing bounds a
+closure's work yet: a permutation of 256 points can have an orbit far
+longer than any run.
 """
 
 import json
@@ -21,6 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 ALLOWED_EXITS = {0, 1, 2, 64, 65, 66, 74}
+# close-orbit checks no invariant, so it never has one to violate
+CLOSE_ORBIT_EXITS = ALLOWED_EXITS - {1}
 # the longest error line a case may print: well above any fixed message,
 # well below the echo of one of the huge ints drawn below
 MAX_ERROR_LINE = 240
@@ -92,22 +98,51 @@ def demand_obj(draw, n, k):
     return mutated(obj, draw)
 
 
+@st.composite
+def perm_obj(draw, n):
+    # mostly a permutation of the family's universe, now and then of
+    # another size, with a repeated image or one stray value
+    size = n if draw(st.integers(0, 7)) else draw(st.integers(0, 260))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    images = list(range(size))
+    rng.shuffle(images)
+    if size > 1 and not draw(st.integers(0, 5)):  # a repeated image
+        images[rng.randrange(size)] = images[rng.randrange(size)]
+    if not draw(st.integers(0, 7)):  # one stray value
+        at = rng.randrange(size + 1)
+        images[at:at + 1] = [draw(some_int(-2, size + 2))]
+    obj = {"N": mutated(size, draw), "images": mutated(images, draw)}
+    if not draw(st.integers(0, 15)):
+        del obj[draw(st.sampled_from(["N", "images"]))]
+    return mutated(obj, draw)
+
+
 BAD_ARGUMENTS = ["1" + "0" * 4300, "-" + "9" * 50, "x", "", "1.5"]
 
 
-@st.composite
-def case(draw):
-    family, n, k = draw(family_obj())
-    demand = draw(demand_obj(n, k))
-    ranges = {"--t": (1, 64), "--d": (0, 2), "--L": (0, 1), "--budget": (0, 2),
-              "--seed": (-(10 ** 20), 10 ** 20)}
+def drawn_flags(draw, ranges):
     flags = {}
     for name, (low, high) in ranges.items():
         flags[name] = str(draw(st.integers(low, high)))
         if not draw(st.integers(0, 11)):  # negative, huge or malformed
             flags[name] = draw(st.one_of(st.integers(-3, 0).map(str),
                                          st.sampled_from(BAD_ARGUMENTS)))
-    return family, demand, flags
+    return flags
+
+
+@st.composite
+def case(draw):
+    family, n, k = draw(family_obj())
+    demand = draw(demand_obj(n, k))
+    return family, demand, drawn_flags(draw, {
+        "--t": (1, 64), "--d": (0, 2), "--L": (0, 1), "--budget": (0, 2),
+        "--seed": (-(10 ** 20), 10 ** 20)})
+
+
+@st.composite
+def orbit_case(draw):
+    family, n, _ = draw(family_obj())
+    return family, draw(perm_obj(n)), drawn_flags(draw, {"--layers": (0, 3)})
 
 
 def run_capped(args):
@@ -118,8 +153,8 @@ def run_capped(args):
                           timeout=CASE_TIMEOUT_S)
 
 
-def assert_contract(res):
-    assert res.returncode in ALLOWED_EXITS, res.stderr
+def assert_contract(res, allowed=ALLOWED_EXITS):
+    assert res.returncode in allowed, res.stderr
     assert "Traceback" not in res.stderr
     if res.returncode != 0:
         lines = res.stderr.splitlines()
@@ -140,3 +175,18 @@ def test_extend_perm_keeps_the_exit_contract(tmp_path, drawn):
     for name, value in flags.items():
         args.append(f"{name}={value}")
     assert_contract(run_capped(args))
+
+
+@given(orbit_case())
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_close_orbit_keeps_the_exit_contract(tmp_path, drawn):
+    family, perm, flags = drawn
+    fam, per = tmp_path / "fam.json", tmp_path / "perm.json"
+    fam.write_text(json.dumps(family))
+    per.write_text(json.dumps(perm))
+    args = ["close-orbit", "--family", str(fam), "--perm", str(per)]
+    for name, value in flags.items():
+        args.append(f"{name}={value}")
+    assert_contract(run_capped(args), CLOSE_ORBIT_EXITS)

@@ -33,12 +33,12 @@ class TestPartialInjection:
         with pytest.raises(ValueError):
             PartialInjection(4, ((0, 4),))  # leaves the universe
 
-    def test_lookup(self):
+    def test_pairs_are_sorted_by_source(self):
         f = PartialInjection.from_dict(8, {3: 5, 1: 2})
         assert f.pairs == ((1, 2), (3, 5))
-        assert f.domain() == (1, 3) and f.targets() == (2, 5)
-        assert f.apply(3) == 5 and f.defined_at(1) and not f.defined_at(0)
-        assert len(PartialInjection.empty(8)) == 0
+        assert f == PartialInjection(8, ((3, 5), (1, 2)))
+        assert PartialInjection.empty(8).pairs == ()
+        assert FamilyMap.from_dict({2: 0, 0: 2}).pairs == ((0, 2), (2, 0))
 
 
 class TestAtoms:
@@ -95,13 +95,12 @@ def oracle_cut(full, masks):
 def oracle_atoms_of(g, family):
     # atoms_of read off the cut of every signature
     count = len(family.sets)
-    for j in g.domain():
-        if not (0 <= j < count and 0 <= g.apply(j) < count):
+    for j, j2 in g.pairs:
+        if not (0 <= j < count and 0 <= j2 < count):
             raise ValueError(f"family map touches index outside [0, {count})")
     full = full_mask(family.n)
-    cut = oracle_cut(full, [family.sets[j].mask for j in g.domain()])
-    images = oracle_cut(full, [family.sets[g.apply(j)].mask
-                               for j in g.domain()])
+    cut = oracle_cut(full, [family.sets[j].mask for j, _ in g.pairs])
+    images = oracle_cut(full, [family.sets[j2].mask for _, j2 in g.pairs])
     position = {}
     sigs = []
     for sig, cell in enumerate(cut):
@@ -229,7 +228,7 @@ class TestCompatibility:
         bad = PartialInjection(n, f.pairs[:-1] + ((n - 6, n - 6),))
         started = time.perf_counter()
         assert check_compatible(f, SWAP01, family).ok
-        assert sum(shuffle_sizes(f, SWAP01, family)) == n - len(f)
+        assert sum(shuffle_sizes(f, SWAP01, family)) == n - len(f.pairs)
         assert check_compatible(bad, SWAP01, family).witness == (n - 6, 0)
         assert time.perf_counter() - started < 2.0
 
@@ -256,11 +255,14 @@ class TestBuildPermutation:
             build_permutation(f, SWAP01, halves4(), AtomShuffle(((), ())))
 
     def test_cardinality_mismatch(self):
+        # no shuffle fits cells of different sizes: shuffle_sizes raises as
+        # build_permutation does, before any shuffle is asked for
         fam = Family.from_lists(5, [[0, 1], [2, 3, 4]])
-        sizes = shuffle_sizes(PartialInjection.empty(5), SWAP01, fam)
+        with pytest.raises(CardinalityMismatch):
+            shuffle_sizes(PartialInjection.empty(5), SWAP01, fam)
         with pytest.raises(CardinalityMismatch):
             build_permutation(PartialInjection.empty(5), SWAP01, fam,
-                              AtomShuffle.identity(sizes))
+                              AtomShuffle(((0, 1), (0, 1, 2))))
 
     def test_shuffle_twists_free_points(self):
         twisted = AtomShuffle(((1, 0), (0, 1)))
@@ -296,6 +298,12 @@ class TestBuildPermutation:
         (PartialInjection.empty(4), FamilyMap.from_dict({0: 5}), halves4(),
          AtomShuffle(((0,),)), ValueError,
          r"family map touches index outside \[0, 2\)"),
+        # two faults, mismatched cells and a short shuffle: the pair is
+        # checked before the shuffle's shape
+        (PartialInjection.empty(5), SWAP01,
+         Family.from_lists(5, [[0, 1], [2, 3, 4]]), AtomShuffle(((0, 1),)),
+         CardinalityMismatch,
+         "cell 0 has 2 free points but its image cell has 3"),
     ])
     def test_error_messages(self, f, g, fam, shuffle, error, message):
         with pytest.raises(error, match=f"^{message}$"):
@@ -591,6 +599,16 @@ class TestFindIndependentShuffle:
             find_independent_shuffle(
                 PartialInjection.from_dict(4, {0: 0}), SWAP01, halves4(),
                 threshold=1, depth=1, layers=1, budget=3, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_cardinality_mismatch_raises_at_any_budget(self, budget):
+        # no budget completes cells of sizes 2 and 3: a zero budget says so
+        # too, instead of reporting an exhausted search
+        with pytest.raises(CardinalityMismatch):
+            find_independent_shuffle(
+                PartialInjection.empty(5), SWAP01,
+                Family.from_lists(5, [[0, 1], [2, 3, 4]]),
+                threshold=1, depth=1, layers=1, budget=budget, seed=0)
 
     def test_pinned_search(self):
         # a search that succeeds on its last attempt; its outcome is pinned

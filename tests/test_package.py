@@ -200,3 +200,25 @@ def test_line_kinds_script(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1].split() == ["total", "4", "4", "2",
                                                    "2"]
+
+
+def test_unused_names_script(tmp_path):
+    # the CI step's unused-name report: a def or class is used where some
+    # file names it, as an identifier or a whole string; a docstring's words
+    # are no use, and dunders and _cmd_* handlers are left out
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        'class Used:\n    def __init__(self): pass\n\n'
+        '    def unused(self):\n        """Names traced, Used, unused."""\n\n'
+        'def traced(): pass\n\ndef _cmd_run(args): pass\n\n'
+        'def lonely(): pass\n')
+    caller = tmp_path / "caller.py"
+    caller.write_text('from pkg.mod import Used\nWRAPPED = ("traced",)\n')
+    res = subprocess.run([sys.executable, "scripts/unused_names.py",
+                          str(pkg), str(caller)], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    mod = pkg / "mod.py"
+    assert res.stdout.splitlines() == [f"{mod}:4: unused", f"{mod}:11: lonely",
+                                       "2 unused names"]

@@ -30,6 +30,8 @@ PINNED_CALLS = {
     ("finset.py", "min_combination_size"): 14,
     ("extender.py", "random"): 14,  # AtomShuffle.random
     ("extender.py", "atoms_of"): 8,
+    ("extender.py", "_completion"): 8,  # once per search
+    ("extender.py", "_complete"): 14,  # once per attempt
 }
 
 
