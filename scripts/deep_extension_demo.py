@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from omegalab.codec import index_of_raw_code
+from omegalab.codec import PartialFn, partial_fn_index
 from omegalab.finset import CombinationSpec, Family
 from omegalab.generic import IN, Demand, TargetGrid, build_generic
 
@@ -42,7 +42,10 @@ def main() -> int:
     run_once(1 << 20, "the desk-scale default; exhausts")
     run_once(args.deep_bound, "past the wall")
 
-    witness = index_of_raw_code((1 << 91) + (1 << 78) + 3)
+    # entries (0, 0, i, 0) and (3, 0, i, 0) for both layers i: slots 0, 1,
+    # 78 and 91
+    witness = partial_fn_index(PartialFn.from_entries(
+        [(0, 0, 0, 0), (0, 0, 1, 0), (3, 0, 0, 0), (3, 0, 1, 0)]))
     print(f"predicted third element (rank of the row-0+row-3 echo): "
           f"{witness:_}")
     return 0

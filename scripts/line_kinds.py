@@ -6,13 +6,16 @@ A line is code when any token on it is neither a comment nor a docstring;
 otherwise docstring when a docstring covers it, comment when it holds a
 comment, and blank when it holds no token.  A docstring is a string that
 opens a module or the body of a def or class.  Prints one row per file and
-a total; gates nothing.
+a total; gates nothing.  With no path, or a path that is not a file, it
+prints one usage line and exits 2.
 """
 
+import os
 import sys
 import tokenize
 from itertools import islice
 
+USAGE = "usage: python scripts/line_kinds.py FILE.py..."
 KINDS = ("code", "docstring", "comment", "blank")
 SKIPPED = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
@@ -52,7 +55,10 @@ def line_kinds(path: str) -> dict[str, int]:
     return counts
 
 
-def main(paths: list[str]) -> None:
+def main(paths: list[str]) -> int:
+    if not paths or not all(map(os.path.isfile, paths)):
+        print(USAGE, file=sys.stderr)
+        return 2
     print(f"{'file':<32}" + "".join(f"{k:>10}" for k in KINDS))
     total = dict.fromkeys(KINDS, 0)
     for path in paths:
@@ -61,7 +67,8 @@ def main(paths: list[str]) -> None:
         for k in KINDS:
             total[k] += counts[k]
     print(f"{'total':<32}" + "".join(f"{total[k]:>10}" for k in KINDS))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

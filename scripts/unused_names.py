@@ -10,7 +10,8 @@ A def or class line is not a use of its own name, and a word inside a
 docstring or comment is none either; names are matched without regard to
 scope, so a method counts as used wherever its name is.  Dunder names and
 the CLI's _cmd_* handlers are left out.  Prints one line per unused name and
-a count; gates nothing.
+a count; gates nothing.  With no path, or a path that does not exist, it
+prints one usage line and exits 2.
 """
 
 import ast
@@ -18,6 +19,7 @@ import re
 import sys
 from pathlib import Path
 
+USAGE = "usage: python scripts/unused_names.py PACKAGE [PATH...]"
 # dunders, and the CLI handlers that set_defaults hands to argparse
 LEFT_OUT = re.compile(r"__\w*__$|_cmd_")
 
@@ -49,7 +51,10 @@ def definitions(tree: ast.AST) -> list[tuple[int, str]]:
                   if isinstance(node, kinds) and not LEFT_OUT.match(node.name))
 
 
-def main(paths: list[str]) -> None:
+def main(paths: list[str]) -> int:
+    if not paths or not all(Path(p).exists() for p in paths):
+        print(USAGE, file=sys.stderr)
+        return 2
     trees = {f: ast.parse(f.read_bytes(), str(f))
              for path in paths for f in python_files(path)}
     used = set().union(*map(uses, trees.values()))
@@ -58,7 +63,8 @@ def main(paths: list[str]) -> None:
     for line in unused:
         print(line)
     print(f"{len(unused)} unused names")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -74,10 +74,6 @@ def point_code(a: int, b: int, i: int) -> int:
     return 2 * cantor_pair(a, b) + i
 
 
-def entry_slot(a: int, b: int, i: int, value: int) -> int:
-    return cantor_pair(point_code(a, b, i), value)
-
-
 def _check_slot(slot: int) -> None:
     if slot > SLOT_LIMIT:
         raise ValueError("entry slot exceeds the representable range "
@@ -115,12 +111,6 @@ class PartialFn:
 
     def __repr__(self) -> str:
         return f"PartialFn(entries={self.entries!r})"
-
-    def value_at(self, a: int, b: int, i: int) -> Optional[int]:
-        if a < 0 or b < 0 or i not in (0, 1):
-            return None  # not a point, though its "code" may name one
-        code = point_code(a, b, i)
-        return next((v for c, v in self.points if c == code), None)
 
     @cached_property
     def slots(self) -> tuple[int, ...]:

@@ -49,8 +49,9 @@ def grid_fn_from_perm(perm: PointPermutation, rows: int, cols: int) -> PartialFn
 
     Only indices that can reach their row are decoded.  Index j has all its
     slots below bit s exactly when j < count_functional_below(s), and every
-    slot of row m on a layer is at least entry_slot(m, 0, layer, 0), so an
-    index below that count leaves the row empty.  That slot opens diagonal
+    slot of row m on a layer is at least the slot of entry (m, 0, layer, 0),
+    cantor_pair(point_code(m, 0, layer), 0), so an index below that count
+    leaves the row empty.  That slot opens diagonal
     c = point_code(m, 0, layer) = m(m+1) + layer, so the count, the row's
     cutoff, is (c+1)! = factorial(m(m+1) + layer + 1).  The cutoffs rise with
     m (1, 6, 5 040, about 6.2e9 on layer 0), and past the first one at or

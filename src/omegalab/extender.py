@@ -190,10 +190,6 @@ class AtomShuffle:
                 raise ValueError("each cell shuffle must permute 0..size-1")
 
     @classmethod
-    def identity(cls, sizes: Sequence[int]) -> "AtomShuffle":
-        return cls(tuple(tuple(range(s)) for s in sizes))
-
-    @classmethod
     def random(cls, sizes: Sequence[int], rng: random.Random) -> "AtomShuffle":
         """Per cell, the permutation rng.shuffle(list(range(size))) makes,
         read from the same stream, so rng ends in the same state.
@@ -247,10 +243,6 @@ class Permutation:
                 or max(images, default=-1) >= self.n):
             raise ValueError("images must list each point of [0, n) exactly once")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple(range(n)))
-
     @cached_property
     def _inverse(self) -> tuple[int, ...]:
         inv = [0] * self.n
@@ -266,9 +258,6 @@ class Permutation:
 
     def apply_set(self, s: FinSet) -> FinSet:
         return self.apply_sets((s,))[0]
-
-    def inverse_apply_set(self, s: FinSet) -> FinSet:
-        return self.inverse_apply_sets((s,))[0]
 
     def apply_sets(self, sets: Sequence[FinSet]) -> list[FinSet]:
         """The forward images of the sets, in order."""

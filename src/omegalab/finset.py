@@ -154,12 +154,6 @@ class Family:
         if self.labels is not None and len(self.labels) != len(self.sets):
             raise ValueError("labels must match sets one to one")
 
-    @classmethod
-    def from_lists(cls, n: int, sets: Sequence[Iterable[int]],
-                   labels: Optional[Sequence[str]] = None) -> "Family":
-        return cls(n, tuple(FinSet.from_members(n, s) for s in sets),
-                   None if labels is None else tuple(labels))
-
     def __len__(self) -> int:
         return len(self.sets)
 

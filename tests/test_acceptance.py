@@ -31,8 +31,9 @@ from omegalab.errors import GridOverflow, SearchExhausted
 from omegalab.extender import (AtomShuffle, FamilyMap, PartialInjection,
                                atoms_of, build_permutation,
                                find_independent_shuffle, shuffle_sizes)
-from omegalab.finset import (Family, bit_family, boolean_combination,
-                             combination_specs, is_independent)
+from omegalab.finset import (Family, FinSet, bit_family,
+                             boolean_combination, combination_specs,
+                             is_independent)
 from omegalab.generic import IN, Demand, extend_to_meet, is_condition
 from omegalab.jsonio import canonical_dumps
 
@@ -103,9 +104,10 @@ def test_criterion_2_enumeration_roundtrip():
 @pytest.mark.criterion(3, "permutation extension exactness")
 def test_criterion_3_extension_exactness():
     swap = FamilyMap.from_dict({0: 1, 1: 0})
-    halves = Family.from_lists(4, [[0, 1], [2, 3]])
+    halves = Family(4, (FinSet.from_members(4, [0, 1]),
+                        FinSet.from_members(4, [2, 3])))
     perm = build_permutation(PartialInjection.empty(4), swap, halves,
-                             AtomShuffle.identity((2, 2)))
+                             AtomShuffle(((0, 1), (0, 1))))
     assert perm.images == (2, 3, 0, 1)
 
     rng = random.Random(20260816)

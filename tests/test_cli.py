@@ -18,8 +18,9 @@ import time
 import pytest
 
 from omegalab import cli, diag
-from omegalab.codec import (SLOT_LIMIT, cantor_unpair, count_functional_below,
-                            entry_slot, index_of_raw_code)
+from omegalab.codec import (SLOT_LIMIT, cantor_pair, cantor_unpair,
+                            count_functional_below, index_of_raw_code,
+                            point_code)
 from omegalab.config import ExperimentConfig
 from omegalab.jsonio import canonical_dumps, write_json
 
@@ -92,7 +93,8 @@ class TestRho:
         write_json(str(fn_file), {"entries": [[20, 20, 0, 0]]})
         res = run_cli("rho-index", str(fn_file))
         assert res.returncode == 0, res.stderr
-        expected = index_of_raw_code(1 << entry_slot(20, 20, 0, 0))
+        slot = cantor_pair(point_code(20, 20, 0), 0)
+        expected = index_of_raw_code(1 << slot)
         with no_int_str_limit():
             assert int(res.stdout) == expected
             assert len(str(expected)) == 4695
@@ -102,7 +104,7 @@ class TestRho:
         # codes below that slot, a 14 389-digit index
         code, v = cantor_unpair(SLOT_LIMIT)
         a, b = cantor_unpair(code >> 1)
-        assert entry_slot(a, b, code & 1, v) == SLOT_LIMIT
+        assert cantor_pair(point_code(a, b, code & 1), v) == SLOT_LIMIT
         fn_file = workdir / "fn.json"
         write_json(str(fn_file), {"entries": [[a, b, code & 1, v]]})
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

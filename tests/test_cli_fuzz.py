@@ -1,22 +1,24 @@
-"""Fuzz `extend-perm` and `close-orbit` against the CLI's exit-status
-contract.
+"""Fuzz `extend-perm`, `close-orbit`, `rho-index` and `check-indep` against
+the CLI's exit-status contract.
 
-Each case writes a family file and a demand or permutation file, mostly
-well-formed and sometimes mutated (wrong types, bools, negatives,
-duplicates, out-of-range values, huge ints, missing keys), and runs
-`python -m omegalab extend-perm` or `close-orbit` on them with drawn
-integer flags, in a child process under a 1 GiB address-space cap and a
-wall-clock timeout.  Every case must end in a documented status other than
-70, with no traceback; an error exit prints one stderr line whose length
-does not grow with the input.  Sizes stay small (k <= 30 sets, N <= 256
-points, d <= 2, L <= 1, budget <= 2, layers <= 3) so that no case is slow
-by its own meaning.  The layers stay small because nothing bounds a
-closure's work yet: a permutation of 256 points can have an orbit far
-longer than any run.
+Each case writes its input files (a family with a demand or a permutation,
+a partial function, or a family alone), mostly well-formed and sometimes
+mutated (wrong types, bools, negatives, duplicates, out-of-range values,
+huge ints, ints past Python's 4 300-digit int-string limit, missing keys),
+and runs `python -m omegalab` on them with drawn integer flags, in a child
+process under a 1 GiB address-space cap and a wall-clock timeout.  Every
+case must end in a documented status other than 70, with no traceback; an
+error exit prints one stderr line whose length does not grow with the
+input.  Sizes stay small (k <= 30 sets, N <= 256 points, d <= 2, L <= 1,
+budget <= 2, layers <= 3; for check-indep k <= 8 and N <= 2^12) so that
+no case is slow by its own meaning.  The layers stay small because nothing
+bounds a closure's work yet: a permutation of 256 points can have an orbit
+far longer than any run.
 """
 
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -27,6 +29,10 @@ from hypothesis import strategies as st
 ALLOWED_EXITS = {0, 1, 2, 64, 65, 66, 74}
 # close-orbit checks no invariant, so it never has one to violate
 CLOSE_ORBIT_EXITS = ALLOWED_EXITS - {1}
+# rho-index neither checks an invariant nor degrades
+RHO_INDEX_EXITS = ALLOWED_EXITS - {1, 2}
+# check-indep never degrades: it passes, fails (1) or refuses its input
+CHECK_INDEP_EXITS = ALLOWED_EXITS - {2}
 # the longest error line a case may print: well above any fixed message,
 # well below the echo of one of the huge ints drawn below
 MAX_ERROR_LINE = 240
@@ -36,6 +42,9 @@ HUGE = st.sampled_from([10 ** 12, (1 << 26) + 1, 10 ** 60, -(10 ** 60),
                         10 ** 1000, -(10 ** 300)])
 JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
                  st.floats(-2, 2), st.just([]), st.just({}))
+# stands for an int past the int-string limit, which json.dumps refuses to
+# write on Python 3.11 and later; dump() puts its digits in place
+PAST_LIMIT = "<10**4300>"
 
 
 def some_int(low, high):
@@ -51,9 +60,9 @@ def mutated(value, draw):
 
 
 @st.composite
-def family_obj(draw):
-    n = draw(st.integers(1, 256))
-    k = draw(st.integers(0, 29))  # 30 with the duplicate below
+def family_obj(draw, max_n=256, max_k=29):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, max_k))  # one more with the duplicate below
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):  # bit sets: a permuted g often induces a bijection
         sets = [[x for x in range(n) if x >> j & 1] for j in range(k)]
@@ -117,6 +126,35 @@ def perm_obj(draw, n):
     return mutated(obj, draw)
 
 
+@st.composite
+def fn_obj(draw):
+    # up to 6 entries [a, b, i, value] in low rows, now and then with a
+    # negative, a layer outside {0, 1}, a repeated point, a huge int, an
+    # int past the int-string limit or a wrong type in one field
+    entries = [[draw(st.integers(0, 6)), draw(st.integers(0, 6)),
+                draw(st.integers(0, 1)), draw(st.integers(0, 4))]
+               for _ in range(draw(st.integers(0, 6)))]
+    if entries and not draw(st.integers(0, 3)):  # a repeated point
+        a, b, i, v = entries[draw(st.integers(0, len(entries) - 1))]
+        entries.append([a, b, i, v + draw(st.integers(0, 1))])
+    if entries and draw(st.integers(0, 1)):  # one field off
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        at = draw(st.integers(0, 3))
+        entry[at] = draw(st.one_of(
+            st.integers(-3, -1), st.sampled_from([2, 3, -1]), HUGE, JUNK,
+            st.just(PAST_LIMIT)))
+    if entries and not draw(st.integers(0, 7)):  # a short or long entry
+        entries[0] = entries[0][:draw(st.integers(0, 3))] or [0] * 5
+    obj = {"entries": mutated(entries, draw)}
+    if not draw(st.integers(0, 15)):
+        obj = {"entry": entries}  # the key misspelled
+    return mutated(obj, draw)
+
+
+def dump(obj):
+    return json.dumps(obj).replace(f'"{PAST_LIMIT}"', "1" + "0" * 4300)
+
+
 BAD_ARGUMENTS = ["1" + "0" * 4300, "-" + "9" * 50, "x", "", "1.5"]
 
 
@@ -137,6 +175,15 @@ def case(draw):
     return family, demand, drawn_flags(draw, {
         "--t": (1, 64), "--d": (0, 2), "--L": (0, 1), "--budget": (0, 2),
         "--seed": (-(10 ** 20), 10 ** 20)})
+
+
+@st.composite
+def indep_case(draw):
+    family, _, _ = draw(family_obj(max_n=1 << 12, max_k=7))
+    flags = drawn_flags(draw, {"--t": (1, 1 << 9), "--d": (0, 8)})
+    if draw(st.booleans()):
+        del flags["--d"]  # the depth defaults to every set
+    return family, flags
 
 
 @st.composite
@@ -190,3 +237,30 @@ def test_close_orbit_keeps_the_exit_contract(tmp_path, drawn):
     for name, value in flags.items():
         args.append(f"{name}={value}")
     assert_contract(run_capped(args), CLOSE_ORBIT_EXITS)
+
+
+@given(fn_obj())
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_rho_index_keeps_the_exit_contract(tmp_path, fn):
+    path = tmp_path / "fn.json"
+    path.write_text(dump(fn))
+    res = run_capped(["rho-index", str(path)])
+    assert_contract(res, RHO_INDEX_EXITS)
+    if res.returncode == 0:
+        assert re.fullmatch(r"\d+\n", res.stdout), res.stdout[:400]
+
+
+@given(indep_case())
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_check_indep_keeps_the_exit_contract(tmp_path, drawn):
+    family, flags = drawn
+    path = tmp_path / "fam.json"
+    path.write_text(dump(family))
+    args = ["check-indep", "--family", str(path)]
+    for name, value in flags.items():
+        args.append(f"{name}={value}")
+    assert_contract(run_capped(args), CHECK_INDEP_EXITS)

@@ -17,10 +17,9 @@ from omegalab.codec import (EMPTY_FN, SLOT_LIMIT, PartialFn, _build_cache,
                             _member_bytes, _next_member,
                             _unrank, cantor_pair,
                             cantor_unpair, check_dense,
-                            count_functional_below, entry_slot,
-                            index_of_raw_code, least_extension_index,
-                            nth_partial_fn, partial_fn_index, point_code,
-                            raw_code_of_index)
+                            count_functional_below, index_of_raw_code,
+                            least_extension_index, nth_partial_fn,
+                            partial_fn_index, point_code, raw_code_of_index)
 from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              full_mask)
 from omegalab.generic import (IN, OUT, Demand, TargetGrid, auto_schedule,
@@ -108,7 +107,7 @@ class TestPairings:
         assert point_decode(2) == (1, 0, 0)
 
     def test_entry_slot_roundtrip(self):
-        slot = entry_slot(2, 5, 1, 7)
+        slot = cantor_pair(point_code(2, 5, 1), 7)
         assert slot_decode(slot) == (2, 5, 1, 7)
 
 
@@ -274,14 +273,6 @@ class TestPartialFn:
             "not enough values to unpack (expected 4, got 3)"
         assert refusal([("x", 0, 0, 0)]) == \
             "invalid literal for int() with base 10: 'x'"
-
-    def test_lookup_is_explicitly_absent(self):
-        fn = PartialFn.from_entries([(1, 2, 0, 5)])
-        assert fn.value_at(1, 2, 0) == 5
-        assert fn.value_at(1, 2, 1) is None
-        assert fn.value_at(0, 0, 0) is None
-        # (2, 1, 2) and (-3, 5, 0) share point (1, 2, 0)'s code 16
-        assert fn.value_at(2, 1, 2) is None and fn.value_at(-3, 5, 0) is None
 
     def test_extends(self):
         small = PartialFn.from_entries([(0, 0, 0, 0)])

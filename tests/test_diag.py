@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalab import diag, generic
-from omegalab.codec import (PartialFn, count_functional_below, entry_slot,
-                            nth_partial_fn)
+from omegalab.codec import (PartialFn, cantor_pair, count_functional_below,
+                            nth_partial_fn, point_code)
 from omegalab.config import ExperimentConfig, child_seed
 from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
@@ -21,6 +21,11 @@ from omegalab.finset import bit_family
 from omegalab.generic import Condition, TargetGrid
 
 ZERO_GRID = TargetGrid.constant(4, 4)
+
+
+def least_row_slot(m, layer):
+    # the slot of entry (m, 0, layer, 0), the least of row m on the layer
+    return cantor_pair(point_code(m, 0, layer), 0)
 
 
 def swap03(n=16):
@@ -42,7 +47,7 @@ class TestGridFnFromPerm:
         assert fn.entries == ((0, 0, 0, 0), (0, 0, 1, 0))
 
     def test_identity_low_rows(self):
-        fn = grid_fn_from_perm(Permutation.identity(16), 4, 4)
+        fn = grid_fn_from_perm(Permutation(16, tuple(range(16))), 4, 4)
         # index m's own function: 1 -> {(0,0,0): 0}, 2 -> {(0,0,1): 0}, but
         # those live in row 0, read only when m = 0 (whose function is empty)
         assert fn.entries == ()
@@ -75,9 +80,10 @@ class TestGridFnFromPerm:
         # a lazy permutation is sampled by now
         assert grid_points(fn) == brute_force_read(perm, rows, cols)
         target = TargetGrid.random(t_rows, t_cols, value_bound, rng)
+        values = dict(fn.points)
         count = sum(1 for m in range(t_rows) for k in range(t_cols)
-                    for i in (0, 1) if fn.value_at(m, k, i) is not None
-                    and fn.value_at(m, k, i) == target.value_at(m, k, i))
+                    for i in (0, 1) if values.get(point_code(m, k, i))
+                    == target.value_at(m, k, i))
         assert matches(fn, target) == count
 
     @pytest.mark.parametrize("m, layer", [(m, i) for m in range(3)
@@ -85,7 +91,7 @@ class TestGridFnFromPerm:
     def test_cutoff_is_exact_at_its_boundary(self, m, layer):
         # the first index whose code reaches the row's least slot holds
         # exactly that slot's entry; the index before it misses the row
-        t = count_functional_below(entry_slot(m, 0, layer, 0))
+        t = count_functional_below(least_row_slot(m, layer))
         assert not any(a == m and i == layer
                        for a, _, i, _ in nth_partial_fn(t - 1).entries)
         assert (m, 0, layer, 0) in nth_partial_fn(t).entries
@@ -93,7 +99,8 @@ class TestGridFnFromPerm:
             perm = Transposition(1 << 20, m, j)
             fn = grid_fn_from_perm(perm, 16, 16)
             assert grid_points(fn) == brute_force_read(perm, 16, 16)
-            assert (fn.value_at(m, 0, layer) == 0) == (j == t)
+            value = dict(fn.points).get(point_code(m, 0, layer))
+            assert (value == 0) == (j == t)
 
     def test_decodes_only_rows_below_the_wall(self, monkeypatch):
         # rows 3.. need an index past about 6.2e9, so at n = 2^20 only rows
@@ -118,7 +125,7 @@ class TestGridFnFromPerm:
             assert decoded == [
                 j for layer, read in enumerate((images, preimages))
                 for m, j in enumerate(read)
-                if j >= count_functional_below(entry_slot(m, 0, layer, 0))]
+                if j >= count_functional_below(least_row_slot(m, layer))]
             assert [perm.apply(x) for x in range(40)] == \
                 [queried.apply(x) for x in range(40)]
 
@@ -139,7 +146,7 @@ class TestGridFnFromPerm:
     def test_cutoff_closed_form(self, layer):
         for m in range(40):
             assert math.factorial(m * (m + 1) + layer + 1) == \
-                count_functional_below(entry_slot(m, 0, layer, 0))
+                count_functional_below(least_row_slot(m, layer))
 
 
 def entry_filter_grid_fn(perm, rows, cols):
@@ -152,7 +159,7 @@ def entry_filter_grid_fn(perm, rows, cols):
         for m in range(rows):
             j = index_of(m)
             if cutoff < perm.n:
-                cutoff = count_functional_below(entry_slot(m, 0, layer, 0))
+                cutoff = count_functional_below(least_row_slot(m, layer))
             if j >= cutoff:
                 entries.extend((m, b, layer, v)
                                for a, b, i, v in nth_partial_fn(j).entries
@@ -180,9 +187,9 @@ def brute_force_read(perm, rows, cols):
     expected = {}
     for m in range(rows):
         for i, source in ((0, perm.apply(m)), (1, perm.inverse_apply(m))):
-            read = nth_partial_fn(source)
+            values = dict(nth_partial_fn(source).points)
             for k in range(cols):
-                v = read.value_at(m, k, i)
+                v = values.get(point_code(m, k, i))
                 if v is not None:
                     expected[(m, k, i)] = v
     return expected
@@ -198,14 +205,15 @@ class TestCaseSplit:
         assert case_split(swap03(), [0, 3, 5]) == ((0,), (3,))
 
     def test_identity_has_no_cases(self):
-        assert case_split(Permutation.identity(16), range(16)) == ((), ())
+        identity = Permutation(16, tuple(range(16)))
+        assert case_split(identity, range(16)) == ((), ())
 
 
 class TestMovedWithin:
     def test_counts_low_non_fixed_points(self):
         assert moved_within(swap03(), 4) == (0, 3)
         assert moved_within(swap03(), 3) == (0,)
-        assert moved_within(Permutation.identity(8), 8) == ()
+        assert moved_within(Permutation(8, tuple(range(8))), 8) == ()
 
 
 class TestMatches:
@@ -236,7 +244,7 @@ class TestVerifyCatch:
 
     def test_vacuous_when_nothing_moves_inside(self):
         rep = verify_catch(Condition((0, 3), ZERO_GRID),
-                           Permutation.identity(16))
+                           Permutation(16, tuple(range(16))))
         assert rep.ok and rep.up_cases == () and rep.down_cases == ()
 
     def test_cases_are_the_pairs_the_permutation_relates(self):

@@ -20,8 +20,12 @@ from omegalab.finset import (MAX_UNIVERSE, Family, FinSet, bit_family, cells,
 SWAP01 = FamilyMap.from_dict({0: 1, 1: 0})
 
 
+def family_of(n, sets):
+    return Family(n, tuple(FinSet.from_members(n, s) for s in sets))
+
+
 def halves4():
-    return Family.from_lists(4, [[0, 1], [2, 3]])
+    return family_of(4, [[0, 1], [2, 3]])
 
 
 class TestPartialInjection:
@@ -56,7 +60,7 @@ class TestAtoms:
         assert dec.action == (0,)
 
     def test_misaligned_images_rejected(self):
-        fam = Family.from_lists(3, [[0, 1], [1, 2]])
+        fam = family_of(3, [[0, 1], [1, 2]])
         with pytest.raises(InducedMapNotPermutation):
             atoms_of(FamilyMap.from_dict({0: 1}), fam)
 
@@ -65,7 +69,7 @@ class TestAtoms:
             atoms_of(FamilyMap.from_dict({0: 5}), halves4())
 
     def test_universe_past_the_cap_refused(self):
-        fam = Family.from_lists(MAX_UNIVERSE + 1, [[0]])
+        fam = family_of(MAX_UNIVERSE + 1, [[0]])
         with pytest.raises(ValueError, match="past the cap"):
             atoms_of(FamilyMap(((0, 0),)), fam)
 
@@ -238,7 +242,8 @@ class TestBuildPermutation:
         sizes = shuffle_sizes(PartialInjection.empty(4), SWAP01, halves4())
         assert sizes == (2, 2)
         perm = build_permutation(PartialInjection.empty(4), SWAP01, halves4(),
-                                 AtomShuffle.identity(sizes))
+                                 AtomShuffle(tuple(tuple(range(s))
+                                                   for s in sizes)))
         assert perm.images == (2, 3, 0, 1)
 
     def test_fixed_pair_respected(self):
@@ -246,7 +251,8 @@ class TestBuildPermutation:
         sizes = shuffle_sizes(f, SWAP01, halves4())
         assert sizes == (1, 2)
         perm = build_permutation(f, SWAP01, halves4(),
-                                 AtomShuffle.identity(sizes))
+                                 AtomShuffle(tuple(tuple(range(s))
+                                                   for s in sizes)))
         assert perm.images == (3, 2, 0, 1)
 
     def test_incompatible_pair_raises(self):
@@ -257,7 +263,7 @@ class TestBuildPermutation:
     def test_cardinality_mismatch(self):
         # no shuffle fits cells of different sizes: shuffle_sizes raises as
         # build_permutation does, before any shuffle is asked for
-        fam = Family.from_lists(5, [[0, 1], [2, 3, 4]])
+        fam = family_of(5, [[0, 1], [2, 3, 4]])
         with pytest.raises(CardinalityMismatch):
             shuffle_sizes(PartialInjection.empty(5), SWAP01, fam)
         with pytest.raises(CardinalityMismatch):
@@ -280,7 +286,7 @@ class TestBuildPermutation:
          AtomShuffle(((), ())), IncompatiblePair,
          "point 0 disagrees with its image about set 0"),
         (PartialInjection.empty(5), SWAP01,
-         Family.from_lists(5, [[0, 1], [2, 3, 4]]),
+         family_of(5, [[0, 1], [2, 3, 4]]),
          AtomShuffle(((0, 1), (0, 1, 2))), CardinalityMismatch,
          "cell 0 has 2 free points but its image cell has 3"),
         (PartialInjection.empty(4), SWAP01, halves4(), AtomShuffle(((0, 1),)),
@@ -292,7 +298,7 @@ class TestBuildPermutation:
          AtomShuffle(((0, 1), (0, 1))), ValueError,
          "partial injection and family disagree on the universe"),
         (PartialInjection.empty(3), FamilyMap.from_dict({0: 1}),
-         Family.from_lists(3, [[0, 1], [1, 2]]), AtomShuffle(((0,),)),
+         family_of(3, [[0, 1], [1, 2]]), AtomShuffle(((0,),)),
          InducedMapNotPermutation,
          "image of the cell with signature 0 is not a cell of the decomposition"),
         (PartialInjection.empty(4), FamilyMap.from_dict({0: 5}), halves4(),
@@ -301,7 +307,7 @@ class TestBuildPermutation:
         # two faults, mismatched cells and a short shuffle: the pair is
         # checked before the shuffle's shape
         (PartialInjection.empty(5), SWAP01,
-         Family.from_lists(5, [[0, 1], [2, 3, 4]]), AtomShuffle(((0, 1),)),
+         family_of(5, [[0, 1], [2, 3, 4]]), AtomShuffle(((0, 1),)),
          CardinalityMismatch,
          "cell 0 has 2 free points but its image cell has 3"),
     ])
@@ -357,10 +363,7 @@ class TestPermutation:
         assert [p.inverse_apply(p.apply(x)) for x in range(4)] == [0, 1, 2, 3]
         s = FinSet.from_members(4, [0, 3])
         assert p.apply_set(s).to_list() == [1, 2]
-        assert p.inverse_apply_set(p.apply_set(s)) == s
-
-    def test_identity(self):
-        assert Permutation.identity(3).images == (0, 1, 2)
+        assert p.inverse_apply_sets([p.apply_set(s)])[0] == s
 
     @staticmethod
     def assert_front_images_are_pointwise(p, sets):
@@ -370,7 +373,8 @@ class TestPermutation:
         assert [s.to_list() for s in p.apply_sets(sets)] == forward
         assert [s.to_list() for s in p.inverse_apply_sets(sets)] == backward
         assert [p.apply_set(s).to_list() for s in sets] == forward
-        assert [p.inverse_apply_set(s).to_list() for s in sets] == backward
+        assert [p.inverse_apply_sets([s])[0].to_list()
+                for s in sets] == backward
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -399,9 +403,9 @@ class TestPermutation:
                                                sets[:count])
 
     def test_set_images_on_one_point(self):
-        p = Permutation.identity(1)
+        p = Permutation(1, (0,))
         for s in (FinSet(1, 0), FinSet(1, 1)):
-            assert p.apply_set(s) == s == p.inverse_apply_set(s)
+            assert p.apply_set(s) == s == p.inverse_apply_sets([s])[0]
         with pytest.raises(ValueError):
             p.apply_set(FinSet(2, 1))
 
@@ -412,12 +416,12 @@ class TestPermutation:
         swap = Permutation(2, (1, 0))
         s = FinSet(2, mask)
         assert swap.apply_set(s) == FinSet(2, image)
-        assert swap.inverse_apply_set(s) == FinSet(2, image)
+        assert swap.inverse_apply_sets([s])[0] == FinSet(2, image)
 
 
 class TestOrbitClosure:
     def test_one_layer_example(self):
-        fam = Family.from_lists(4, [[0, 1]])
+        fam = family_of(4, [[0, 1]])
         cyc = Permutation(4, (1, 2, 3, 0))
         closed = orbit_closure(fam, cyc, 1)
         assert [s.to_list() for s in closed.sets] == [[0, 1], [1, 2], [0, 3]]
@@ -431,7 +435,8 @@ class TestOrbitClosure:
 
     def test_zero_layers(self):
         fam = bit_family(2, 8)
-        assert orbit_closure(fam, Permutation.identity(8), 0).sets == fam.sets
+        identity = Permutation(8, tuple(range(8)))
+        assert orbit_closure(fam, identity, 0).sets == fam.sets
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
@@ -440,7 +445,7 @@ class TestOrbitClosure:
         images = list(range(8))
         rng.shuffle(images)
         perm = Permutation(8, tuple(images))
-        fam = Family.from_lists(8, [rng.sample(range(8), 3)])
+        fam = family_of(8, [rng.sample(range(8), 3)])
         once = orbit_closure(fam, perm, layers)
         twice = orbit_closure(once, perm, layers)
         direct = orbit_closure(fam, perm, 2 * layers)
@@ -453,8 +458,9 @@ class TestOrbitClosure:
         seen = {s.mask for s in sets}
         fronts = {"+": family.sets, "-": family.sets}
         for ell in range(1, layers + 1):
-            for sign, image in (("+", perm.apply_set),
-                                ("-", perm.inverse_apply_set)):
+            for sign, image in (
+                    ("+", perm.apply_set),
+                    ("-", lambda s: perm.inverse_apply_sets([s])[0])):
                 fronts[sign] = [image(s) for s in fronts[sign]]
                 for j, s in enumerate(fronts[sign]):
                     if s.mask not in seen:
@@ -471,9 +477,9 @@ class TestOrbitClosure:
         images = list(range(n))
         rng.shuffle(images)
         perm = Permutation(n, tuple(images))
-        fam = Family.from_lists(n, [rng.sample(range(n), rng.randint(0, n))
-                                    for _ in range(k)],
-                                [f"s{j}" for j in range(k)])
+        fam = Family(n, tuple(FinSet.from_members(n, rng.sample(
+            range(n), rng.randint(0, n))) for _ in range(k)),
+            tuple(f"s{j}" for j in range(k)))
         assert orbit_closure(fam, perm, layers) == \
             self.every_layer_closure(fam, perm, layers)
 
@@ -487,8 +493,7 @@ class TestOrbitClosure:
                                 lambda self, sets, real=real:
                                 calls.append(1) or real(self, sets))
         cyc = Permutation(8, (1, 2, 3, 4, 5, 6, 7, 0))
-        closed = orbit_closure(Family.from_lists(8, [[0, 1, 2]]), cyc,
-                               10 ** 5)
+        closed = orbit_closure(family_of(8, [[0, 1, 2]]), cyc, 10 ** 5)
         assert len(closed.sets) == 8
         assert len(calls) == 2 * 5
 
@@ -607,7 +612,7 @@ class TestFindIndependentShuffle:
         with pytest.raises(CardinalityMismatch):
             find_independent_shuffle(
                 PartialInjection.empty(5), SWAP01,
-                Family.from_lists(5, [[0, 1], [2, 3, 4]]),
+                family_of(5, [[0, 1], [2, 3, 4]]),
                 threshold=1, depth=1, layers=1, budget=budget, seed=0)
 
     def test_pinned_search(self):

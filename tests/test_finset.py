@@ -18,6 +18,10 @@ from omegalab.finset import (MAX_UNIVERSE, CombinationSpec, Family, FinSet,
                              is_saturated, min_combination_size)
 
 
+def family_of(n, sets):
+    return Family(n, tuple(FinSet.from_members(n, s) for s in sets))
+
+
 def oracle_combination(family: Family, spec: CombinationSpec) -> list[int]:
     """Per-element membership predicate, independent of the bitmask algebra."""
     out = []
@@ -198,7 +202,7 @@ class TestUniverseCap:
     def test_sparse_sets_past_the_cap_stay_legal(self):
         # chain searches build such families over astronomically large
         # universes; only a mask of the whole universe is refused
-        fam = Family.from_lists(10 ** 40, [[0, 5], [1000]])
+        fam = family_of(10 ** 40, [[0, 5], [1000]])
         assert fam.sets[1].to_list() == [1000]
 
     @pytest.mark.parametrize("n, member", [
@@ -211,7 +215,7 @@ class TestUniverseCap:
     def test_whole_universe_checks_refuse(self):
         # the size checks build no universe: TestCombinationScan runs them
         # past the cap
-        fam = Family.from_lists(self.HUGE, [[0], [1]])
+        fam = family_of(self.HUGE, [[0], [1]])
         for check in (lambda: boolean_combination(fam, CombinationSpec((0,))),
                       lambda: bit_family(2, self.HUGE),
                       lambda: is_saturated(fam, 1)):
@@ -350,7 +354,7 @@ class TestCombinationScan:
         # co-finite mask M (no pos set) holds n - popcount(~M) points, so at
         # n = 10^12 no mask of the universe is built on either side
         n = data.draw(st.sampled_from((201, 10 ** 12)))
-        family = Family.from_lists(n, [sorted(s) for s in members])
+        family = family_of(n, [sorted(s) for s in members])
         depth = data.draw(st.integers(0, len(family.sets)))
         threshold = data.draw(st.one_of(st.integers(1, 202),
                                         st.integers(max(n - 250, 1), n + 1)))
@@ -508,7 +512,7 @@ class TestBlockSplits:
 
 class TestIsSaturated:
     def test_triangle_family(self):
-        fam = Family.from_lists(3, [[0, 1], [0, 2], [1, 2]])
+        fam = family_of(3, [[0, 1], [0, 2], [1, 2]])
         assert is_saturated(fam, 1).ok
         rep = is_saturated(fam, 2)
         assert not rep.ok
@@ -551,6 +555,6 @@ class TestIsSaturated:
     def test_deep_first_witness_needs_no_recursion(self):
         # the walk reaches q = (0..1099) through its 1 099 prefixes, all met
         # by the one set {1099}; a frame per point would pass Python's limit
-        fam = Family.from_lists(1500, [[1099]])
+        fam = family_of(1500, [[1099]])
         rep = is_saturated(fam, 1200)
         assert rep.witness == ((), tuple(range(1100)))

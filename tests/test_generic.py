@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from omegalab import diag, generic
 from omegalab.codec import (EMPTY_FN, PartialFn, check_dense,
-                            index_of_raw_code, nth_partial_fn)
+                            index_of_raw_code, nth_partial_fn, point_code)
 from omegalab.errors import GridOverflow, SearchExhausted
 from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              boolean_combination, combination_specs)
@@ -19,6 +19,10 @@ from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                               is_condition, merge_families)
 
 ZERO_GRID = TargetGrid.constant(4, 4)
+
+
+def family_of(n, sets):
+    return Family(n, tuple(FinSet.from_members(n, s) for s in sets))
 
 
 def no_sets(n=1 << 12):
@@ -136,13 +140,13 @@ def echo_entries(elements, grid, base):
     """The entry-based echo that generic._echo_points replaced, as an
     oracle: the least column past the base per element and layer, as an
     entry (m, k, i, value)."""
-    extra = []
+    extra, defined = [], dict(base.points)
     for m in elements:
         if m >= grid.rows:
             raise GridOverflow(m)
         for i in (0, 1):
             k = 0
-            while base.value_at(m, k, i) is not None:
+            while point_code(m, k, i) in defined:
                 k += 1
             if k >= grid.cols:
                 raise GridOverflow(m)
@@ -265,7 +269,7 @@ class TestExtendToMeet:
         assert 1 not in res.condition.elements
 
     def test_in_demand_restricted_to_set(self):
-        fams = [Family.from_lists(1 << 12, [[0, 2, 5, 9]])]
+        fams = [family_of(1 << 12, [[0, 2, 5, 9]])]
         demand = Demand(CombinationSpec(pos=(0,)), 0, IN)
         res = extend_to_meet(Condition.empty(ZERO_GRID), demand, fams, 1 << 12)
         assert res.witness == 0
@@ -275,7 +279,7 @@ class TestExtendToMeet:
         assert nth_partial_fn(9).extends(nth_partial_fn(3))
 
     def test_exhaustion_raises(self):
-        fams = [Family.from_lists(1 << 12, [[0, 2]])]
+        fams = [family_of(1 << 12, [[0, 2]])]
         demand = Demand(CombinationSpec(pos=(0,)), 0, IN)
         cond = Condition((0,), ZERO_GRID)
         with pytest.raises(SearchExhausted):
@@ -287,10 +291,10 @@ class TestExtendToMeet:
         with pytest.raises(ValueError, match="cannot exceed the universe"):
             extend_to_meet(Condition((0,), TargetGrid.constant(4, 4)),
                            Demand(CombinationSpec(neg=(0,)), 0, IN),
-                           [Family.from_lists(2, [[1]])], 100)
+                           [family_of(2, [[1]])], 100)
         res = extend_to_meet(Condition.empty(ZERO_GRID),
                              Demand(CombinationSpec(neg=(0,)), 0, IN),
-                             [Family.from_lists(2, [[1]])], 2)
+                             [family_of(2, [[1]])], 2)
         assert res.witness == 0
 
 
@@ -433,8 +437,8 @@ class TestDemandMask:
 
 class TestMergeFamilies:
     def test_concatenates_in_order(self):
-        a = Family.from_lists(8, [[0], [1, 2]])
-        b = Family.from_lists(8, [[3]])
+        a = family_of(8, [[0], [1, 2]])
+        b = family_of(8, [[3]])
         merged = merge_families([a, b])
         assert merged.n == 8
         assert [s.to_list() for s in merged.sets] == [[0], [1, 2], [3]]
@@ -463,7 +467,7 @@ class TestAutoSchedule:
 
 class TestCheckAllCombosDense:
     def test_detects_sparse_combination(self):
-        fams = [Family.from_lists(64, [[0]])]
+        fams = [family_of(64, [[0]])]
         rep = check_all_combos_dense(fams, probe_bound=2, search_bound=64)
         assert not rep.ok
         assert rep.failing_spec == CombinationSpec(pos=(0,))
@@ -472,7 +476,7 @@ class TestCheckAllCombosDense:
     def test_passes_on_generous_split(self):
         # split a decent initial segment by parity of index
         evens = [m for m in range(0, 512, 2)]
-        fams = [Family.from_lists(512, [evens])]
+        fams = [family_of(512, [evens])]
         rep = check_all_combos_dense(fams, probe_bound=4, search_bound=512)
         assert isinstance(rep, ComboDensityReport)
         assert rep.ok == (rep.failing_spec is None)
@@ -542,7 +546,7 @@ def small_schedules(draw):
     for use_set, probe, polarity_in in demands:
         spec = CombinationSpec(neg=(0,)) if (use_set and n_specs) else CombinationSpec()
         out.append(Demand(spec, probe, IN if polarity_in else OUT))
-    fams = [Family.from_lists(1 << 12, [[0, 1]] if n_specs else [])]
+    fams = [family_of(1 << 12, [[0, 1]] if n_specs else [])]
     return fams, out
 
 

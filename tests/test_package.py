@@ -17,7 +17,7 @@ from omegalab.diag import PipelineReport, run_pipeline, verify_catch
 from omegalab.extender import (FamilyMap, PartialInjection, Permutation,
                                ShuffleSearchReport, atoms_of, check_compatible,
                                find_independent_shuffle, homogenize)
-from omegalab.finset import (CombinationSpec, Family, bit_family,
+from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              is_independent, is_saturated)
 from omegalab.generic import (IN, Condition, Demand, TargetGrid,
                               auto_schedule, build_generic,
@@ -129,7 +129,7 @@ def _records():
     run = build_generic([fam], grid, auto_schedule(1, 1)[:1], 16)
     report = run_pipeline(TINY)
     swap = Permutation(16, (3, 1, 2, 0) + tuple(range(4, 16)))
-    small = Family.from_lists(4, [[0, 1]])
+    small = Family(4, (FinSet.from_members(4, [0, 1]),))
     g = FamilyMap.from_dict({0: 0})
     return {
         "DenseReport": check_dense(0b1010, 4, 8),
@@ -200,6 +200,13 @@ def test_line_kinds_script(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1].split() == ["total", "4", "4", "2",
                                                    "2"]
+    # no path, or a directory: one usage line and exit 2, no traceback
+    for args in ([], [str(tmp_path)]):
+        res = subprocess.run([sys.executable, "scripts/line_kinds.py", *args],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("usage: ")
+        assert len(res.stderr.splitlines()) == 1
 
 
 def test_unused_names_script(tmp_path):
@@ -222,3 +229,27 @@ def test_unused_names_script(tmp_path):
     mod = pkg / "mod.py"
     assert res.stdout.splitlines() == [f"{mod}:4: unused", f"{mod}:11: lonely",
                                        "2 unused names"]
+    # no path, or a missing one: one usage line and exit 2, no traceback
+    for args in ([], [str(tmp_path / "missing")]):
+        res = subprocess.run([sys.executable, "scripts/unused_names.py",
+                              *args], capture_output=True, text=True,
+                             timeout=60)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("usage: ")
+        assert len(res.stderr.splitlines()) == 1
+
+
+def test_deep_extension_demo_script():
+    # the wall demo: the desk-scale bound exhausts at the third element,
+    # and the deep bound finds exactly the predicted echo index
+    res = subprocess.run([sys.executable, "scripts/deep_extension_demo.py"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "chain so far: [0, 3]" in lines
+    assert "chain: [0, 3, 93405312003]" in lines
+    predicted = [line for line in lines
+                 if line.startswith("predicted third element")]
+    assert len(predicted) == 1
+    assert int(predicted[0].rsplit(": ", 1)[1].replace("_", "")) == \
+        93_405_312_003

@@ -25,9 +25,13 @@ TINY_PIPELINE = dict(builds=2, universe=1 << 12, rows=8, cols=8,
 # (module file, function name) -> calls over the op prefix below
 PINNED_CALLS = {
     ("codec.py", "nth_partial_fn"): 227,
+    ("codec.py", "_unrank_walk"): 227,  # once per decode
+    ("codec.py", "_next_extension"): 38,
     ("diag.py", "grid_fn_from_perm"): 32,
     ("diag.py", "verify_catch"): 64,
     ("finset.py", "min_combination_size"): 14,
+    ("finset.py", "_intersection_sizes"): 22,
+    ("finset.py", "_block_splits"): 54,
     ("extender.py", "random"): 14,  # AtomShuffle.random
     ("extender.py", "atoms_of"): 8,
     ("extender.py", "_completion"): 8,  # once per search
