@@ -10,13 +10,16 @@ A def or class line is not a use of its own name, and a word inside a
 docstring or comment is none either; names are matched without regard to
 scope, so a method counts as used wherever its name is.  Dunder names and
 the CLI's _cmd_* handlers are left out.  Prints one line per unused name and
-a count; gates nothing.  With no path, or a path that does not exist, it
-prints one usage line and exits 2.
+a count.  Since a use cannot tell apart two defs of one name, it then lists
+each def whose name another def of the package shares, with its own count:
+such a def may be unused although its name is not.  Gates nothing.  With no
+path, or a path that does not exist, it prints one usage line and exits 2.
 """
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 USAGE = "usage: python scripts/unused_names.py PACKAGE [PATH...]"
@@ -58,11 +61,19 @@ def main(paths: list[str]) -> int:
     trees = {f: ast.parse(f.read_bytes(), str(f))
              for path in paths for f in python_files(path)}
     used = set().union(*map(uses, trees.values()))
-    unused = [f"{f}:{line}: {name}" for f in python_files(paths[0])
-              for line, name in definitions(trees[f]) if name not in used]
+    defs = [(f, line, name) for f in python_files(paths[0])
+            for line, name in definitions(trees[f])]
+    defined = Counter(name for _, _, name in defs)
+    unused = [f"{f}:{line}: {name}" for f, line, name in defs
+              if name not in used]
+    shared = [f"{f}:{line}: {name}" for f, line, name in defs
+              if defined[name] > 1]
     for line in unused:
         print(line)
     print(f"{len(unused)} unused names")
+    for line in shared:
+        print(line)
+    print(f"{len(shared)} defs share a name with another def")
     return 0
 
 

@@ -7,7 +7,8 @@ image cell.  atoms_of takes the non-empty cells of dom(g)'s sets, and of
 their images, from finset.cells: O(|g| * min(2^|g|, N)) ANDs of N-bit
 masks, however many of the 2^|g| signatures are empty.  build_permutation
 completes such a pair to a full permutation, filling each cell with an
-order bijection twisted by a per-cell shuffle.
+order bijection twisted by a per-cell shuffle.  A Permutation holds its
+image tuple and its inverse, both from the one O(n) pass that checks it.
 Closing the family under a permutation's forward and backward images and
 re-testing independence is the homogenization step at the end of the module.
 Sets are imaged a front at a time, in C-level passes with no Python loop
@@ -24,7 +25,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -61,10 +61,6 @@ class PartialInjection:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"pair {(a, b)} leaves the universe [0, {self.n})")
         object.__setattr__(self, "pairs", ordered)
-
-    @classmethod
-    def from_dict(cls, n: int, mapping: dict[int, int]) -> "PartialInjection":
-        return cls(n, tuple(mapping.items()))
 
     @classmethod
     def empty(cls, n: int) -> "PartialInjection":
@@ -230,38 +226,36 @@ class AtomShuffle:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of [0, n), stored as the image tuple."""
+    """A bijection of [0, n), stored as the image tuple and its inverse."""
 
     n: int
     images: tuple[int, ...]
+    inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # n distinct images inside [0, n) are a bijection: O(n) to check
+        # one O(n) pass checks the images and builds the inverse: n images,
+        # none negative, permute [0, n) exactly when every write
+        # inverse[y] = x lands (no image is past n - 1 or other than an int)
+        # and no slot is left at -1 (no image comes twice)
         images = self.images
-        if (len(images) != self.n or len(set(images)) != self.n
-                or min(images, default=0) < 0
-                or max(images, default=-1) >= self.n):
+        inverse = [-1] * len(images)
+        try:
+            ok = len(images) == self.n and min(images, default=0) >= 0
+            if ok:
+                for x, y in enumerate(images):
+                    inverse[y] = x
+        except (IndexError, TypeError):
+            ok = False
+        if not ok or -1 in inverse:
             raise ValueError("images must list each point of [0, n) exactly once")
-
-    @cached_property
-    def _inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return tuple(inv)
-
-    def apply(self, x: int) -> int:
-        return self.images[x]
-
-    def inverse_apply(self, y: int) -> int:
-        return self._inverse[y]
+        object.__setattr__(self, "inverse", tuple(inverse))
 
     def apply_set(self, s: FinSet) -> FinSet:
         return self.apply_sets((s,))[0]
 
     def apply_sets(self, sets: Sequence[FinSet]) -> list[FinSet]:
         """The forward images of the sets, in order."""
-        return self._image_sets(sets, self._inverse)
+        return self._image_sets(sets, self.inverse)
 
     def inverse_apply_sets(self, sets: Sequence[FinSet]) -> list[FinSet]:
         """The backward images of the sets, in order."""

@@ -350,6 +350,17 @@ class TestCloseOrbit:
                       str(perm), "--layers", "1")
         assert res.returncode == 65
 
+    def test_repeated_image_is_one_data_error_line(self, workdir):
+        fam = workdir / "fam.json"
+        write_json(str(fam), {"N": 4, "sets": [[0, 1]]})
+        perm = workdir / "perm.json"
+        write_json(str(perm), {"N": 4, "images": [1, 2, 1, 0]})
+        res = run_cli("close-orbit", "--family", str(fam), "--perm",
+                      str(perm), "--layers", "1")
+        assert res.returncode == 65 and res.stdout == ""
+        assert res.stderr == ("invalid data: images must list each point of "
+                              "[0, n) exactly once\n")
+
 
 class TestBuildGeneric:
     def write_common(self, workdir, rows=4, cols=4, n=4096):

@@ -1,19 +1,20 @@
-"""Fuzz `extend-perm`, `close-orbit`, `rho-index` and `check-indep` against
-the CLI's exit-status contract.
+"""Fuzz `extend-perm`, `close-orbit`, `rho-index`, `check-indep` and
+`diag-experiment` against the CLI's exit-status contract.
 
 Each case writes its input files (a family with a demand or a permutation,
-a partial function, or a family alone), mostly well-formed and sometimes
-mutated (wrong types, bools, negatives, duplicates, out-of-range values,
-huge ints, ints past Python's 4 300-digit int-string limit, missing keys),
-and runs `python -m omegalab` on them with drawn integer flags, in a child
-process under a 1 GiB address-space cap and a wall-clock timeout.  Every
-case must end in a documented status other than 70, with no traceback; an
-error exit prints one stderr line whose length does not grow with the
-input.  Sizes stay small (k <= 30 sets, N <= 256 points, d <= 2, L <= 1,
-budget <= 2, layers <= 3; for check-indep k <= 8 and N <= 2^12) so that
-no case is slow by its own meaning.  The layers stay small because nothing
-bounds a closure's work yet: a permutation of 256 points can have an orbit
-far longer than any run.
+a partial function, a family alone, or an experiment config), mostly
+well-formed and sometimes mutated (wrong types, bools, negatives,
+duplicates, out-of-range values, huge ints, ints past Python's 4 300-digit
+int-string limit, missing keys), and runs `python -m omegalab` on them with
+drawn integer flags, in a child process under a 1 GiB address-space cap
+and a wall-clock timeout.  Every case must end in a documented status other
+than 70, with no traceback; an error exit prints one stderr line whose
+length does not grow with the input.  Sizes stay small (k <= 30 sets,
+N <= 256 points, d <= 2, L <= 1, budget <= 2, layers <= 3; for check-indep
+k <= 8 and N <= 2^12; for diag-experiment N <= 2^12 or N = 10^12, K <= 2,
+Ma, Mk <= 8, q <= 2, samples <= 4) so that no case is slow by its own
+meaning.  The layers stay small because nothing bounds a closure's work
+yet: a permutation of 256 points can have an orbit far longer than any run.
 """
 
 import json
@@ -151,6 +152,38 @@ def fn_obj(draw):
     return mutated(obj, draw)
 
 
+# diag-experiment config keys other than N and search_bound, each with the
+# range of its well-formed draws.  The keys whose size is work (builds,
+# probes, probes checked, samples) take no huge int: nothing bounds that
+# work yet, so a huge count there is a slow case by its own meaning
+CONFIG_RANGES = {"K": (1, 2), "Ma": (1, 8), "Mk": (1, 8), "V": (1, 4),
+                 "t": (1, 64), "d": (0, 2), "q": (0, 2), "probe_bound": (1, 4),
+                 "samples": (0, 4), "seed": (0, 10 ** 20)}
+WORK_KEYS = {"K", "q", "probe_bound", "samples"}
+
+
+@st.composite
+def config_obj(draw):
+    # N up to 2^12, or now and then 10^12 with every other size small
+    n = 10 ** 12 if not draw(st.integers(0, 5)) else \
+        draw(st.integers(1, 1 << 12))
+    obj = {key: draw(st.integers(low, high))
+           for key, (low, high) in CONFIG_RANGES.items()}
+    obj["N"] = n
+    obj["search_bound"] = draw(st.integers(1, min(n, 1 << 12)))
+    if not draw(st.integers(0, 2)):  # one value a wrong type or negative
+        key = draw(st.sampled_from(sorted(obj)))
+        off = st.one_of(JUNK, st.integers(-3, 0))
+        if key not in WORK_KEYS:  # or a huge int
+            off = st.one_of(off, HUGE, st.just(PAST_LIMIT))
+        obj[key] = draw(off)
+    if not draw(st.integers(0, 7)):
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    if not draw(st.integers(0, 7)):
+        obj[draw(st.sampled_from(["n", "k", "extra"]))] = draw(some_int(0, 3))
+    return mutated(obj, draw)
+
+
 def dump(obj):
     return json.dumps(obj).replace(f'"{PAST_LIMIT}"', "1" + "0" * 4300)
 
@@ -200,10 +233,11 @@ def run_capped(args):
                           timeout=CASE_TIMEOUT_S)
 
 
-def assert_contract(res, allowed=ALLOWED_EXITS):
+def assert_contract(res, allowed=ALLOWED_EXITS, verdicts=frozenset({0})):
+    # a verdict status is one the command answers with its report
     assert res.returncode in allowed, res.stderr
     assert "Traceback" not in res.stderr
-    if res.returncode != 0:
+    if res.returncode not in verdicts:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and res.stderr.endswith("\n"), res.stderr
         assert len(lines[0]) <= MAX_ERROR_LINE, lines[0][:400]
@@ -264,3 +298,18 @@ def test_check_indep_keeps_the_exit_contract(tmp_path, drawn):
     for name, value in flags.items():
         args.append(f"{name}={value}")
     assert_contract(run_capped(args), CHECK_INDEP_EXITS)
+
+
+@given(config_obj())
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_diag_experiment_keeps_the_exit_contract(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(dump(config))
+    res = run_capped(["diag-experiment", "--config", str(path)])
+    # a pass (0), a violation (1) and a degraded run (2) print the report on
+    # stdout and a summary on stderr; every other status is one error line
+    assert_contract(res, verdicts={0, 1, 2})
+    if res.returncode in (0, 1, 2):
+        assert json.loads(res.stdout)["ok"] == (res.returncode == 0)

@@ -16,7 +16,6 @@ from omegalab.diag import (LazyPermutation, SampleRecord, case_split,
                            grid_fn_from_perm, matches, moved_within,
                            run_pipeline, verify_catch)
 from omegalab.errors import GridOverflow
-from omegalab.extender import Permutation
 from omegalab.finset import bit_family
 from omegalab.generic import Condition, TargetGrid
 
@@ -28,10 +27,22 @@ def least_row_slot(m, layer):
     return cantor_pair(point_code(m, 0, layer), 0)
 
 
+class Table:
+    """The permutation of [0, n) with the given images, as two tables."""
+
+    def __init__(self, images):
+        self.n = len(images)
+        self.apply = tuple(images).__getitem__
+        inverse = [0] * self.n
+        for x, y in enumerate(images):
+            inverse[y] = x
+        self.inverse_apply = inverse.__getitem__
+
+
 def swap03(n=16):
     images = list(range(n))
     images[0], images[3] = 3, 0
-    return Permutation(n, tuple(images))
+    return Table(images)
 
 
 SMOKE = ExperimentConfig(builds=2, universe=4096, rows=8, cols=8,
@@ -47,7 +58,7 @@ class TestGridFnFromPerm:
         assert fn.entries == ((0, 0, 0, 0), (0, 0, 1, 0))
 
     def test_identity_low_rows(self):
-        fn = grid_fn_from_perm(Permutation(16, tuple(range(16))), 4, 4)
+        fn = grid_fn_from_perm(Table(range(16)), 4, 4)
         # index m's own function: 1 -> {(0,0,0): 0}, 2 -> {(0,0,1): 0}, but
         # those live in row 0, read only when m = 0 (whose function is empty)
         assert fn.entries == ()
@@ -74,7 +85,7 @@ class TestGridFnFromPerm:
         else:
             images = list(range(n))
             rng.shuffle(images)
-            perm = Permutation(n, tuple(images))
+            perm = Table(images)
         fn = grid_fn_from_perm(perm, rows, cols)
         assert isinstance(fn, PartialFn)
         # a lazy permutation is sampled by now
@@ -205,7 +216,7 @@ class TestCaseSplit:
         assert case_split(swap03(), [0, 3, 5]) == ((0,), (3,))
 
     def test_identity_has_no_cases(self):
-        identity = Permutation(16, tuple(range(16)))
+        identity = Table(range(16))
         assert case_split(identity, range(16)) == ((), ())
 
 
@@ -213,7 +224,7 @@ class TestMovedWithin:
     def test_counts_low_non_fixed_points(self):
         assert moved_within(swap03(), 4) == (0, 3)
         assert moved_within(swap03(), 3) == (0,)
-        assert moved_within(Permutation(8, tuple(range(8))), 8) == ()
+        assert moved_within(Table(range(8)), 8) == ()
 
 
 class TestMatches:
@@ -244,7 +255,7 @@ class TestVerifyCatch:
 
     def test_vacuous_when_nothing_moves_inside(self):
         rep = verify_catch(Condition((0, 3), ZERO_GRID),
-                           Permutation(16, tuple(range(16))))
+                           Table(range(16)))
         assert rep.ok and rep.up_cases == () and rep.down_cases == ()
 
     def test_cases_are_the_pairs_the_permutation_relates(self):
@@ -264,7 +275,7 @@ class TestVerifyCatch:
         assert {c.elements for _, c in chains} >= {(0, 3), (0, 5)}
         cases = 0
         for n in (5, 6, 7):
-            perms = [Permutation(n, p) for p in itertools.permutations(range(n))]
+            perms = [Table(p) for p in itertools.permutations(range(n))]
             for cond in [c for size, c in chains if size == n]:
                 for perm in perms:
                     rep = verify_catch(cond, perm)
@@ -285,7 +296,7 @@ class TestVerifyCatch:
         object.__setattr__(cond, "elements", (0, 1))
         object.__setattr__(cond, "grid", ZERO_GRID)
         failures = {f for p in itertools.permutations(range(4))
-                    for f in verify_catch(cond, Permutation(4, p)).failures}
+                    for f in verify_catch(cond, Table(p)).failures}
         assert failures == {(0, 1, 1)}
 
 

@@ -38,7 +38,7 @@ class TestPartialInjection:
             PartialInjection(4, ((0, 4),))  # leaves the universe
 
     def test_pairs_are_sorted_by_source(self):
-        f = PartialInjection.from_dict(8, {3: 5, 1: 2})
+        f = PartialInjection(8, tuple({3: 5, 1: 2}.items()))
         assert f.pairs == ((1, 2), (3, 5))
         assert f == PartialInjection(8, ((3, 5), (1, 2)))
         assert PartialInjection.empty(8).pairs == ()
@@ -176,11 +176,11 @@ class TestCellCut:
 
 class TestCompatibility:
     def test_compatible_pair(self):
-        f = PartialInjection.from_dict(4, {0: 3})
+        f = PartialInjection(4, ((0, 3),))
         assert check_compatible(f, SWAP01, halves4()).ok
 
     def test_incompatible_witness_is_least(self):
-        f = PartialInjection.from_dict(4, {0: 0})
+        f = PartialInjection(4, ((0, 0),))
         rep = check_compatible(f, SWAP01, halves4())
         assert not rep.ok and rep.witness == (0, 0)
 
@@ -247,7 +247,7 @@ class TestBuildPermutation:
         assert perm.images == (2, 3, 0, 1)
 
     def test_fixed_pair_respected(self):
-        f = PartialInjection.from_dict(4, {0: 3})
+        f = PartialInjection(4, ((0, 3),))
         sizes = shuffle_sizes(f, SWAP01, halves4())
         assert sizes == (1, 2)
         perm = build_permutation(f, SWAP01, halves4(),
@@ -256,7 +256,7 @@ class TestBuildPermutation:
         assert perm.images == (3, 2, 0, 1)
 
     def test_incompatible_pair_raises(self):
-        f = PartialInjection.from_dict(4, {0: 0})
+        f = PartialInjection(4, ((0, 0),))
         with pytest.raises(IncompatiblePair):
             build_permutation(f, SWAP01, halves4(), AtomShuffle(((), ())))
 
@@ -282,7 +282,7 @@ class TestBuildPermutation:
                               AtomShuffle(((0, 1),)))
 
     @pytest.mark.parametrize("f, g, fam, shuffle, error, message", [
-        (PartialInjection.from_dict(4, {0: 0}), SWAP01, halves4(),
+        (PartialInjection(4, ((0, 0),)), SWAP01, halves4(),
          AtomShuffle(((), ())), IncompatiblePair,
          "point 0 disagrees with its image about set 0"),
         (PartialInjection.empty(5), SWAP01,
@@ -340,7 +340,7 @@ class TestBuildPermutation:
         sizes = shuffle_sizes(f, g, fam)
         perm = build_permutation(f, g, fam, AtomShuffle.random(sizes, rng))
         for x, y in f.pairs:
-            assert perm.apply(x) == y
+            assert perm.images[x] == y
         for j, j2 in g.pairs:
             assert perm.apply_set(fam.sets[j]) == fam.sets[j2]
 
@@ -358,9 +358,51 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(3, images)
 
+    @staticmethod
+    def parent_accepts(n, images):
+        # the earlier set/min/max check, kept as the oracle of the one pass
+        return not (len(images) != n or len(set(images)) != n
+                    or min(images, default=0) < 0
+                    or max(images, default=-1) >= n)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_check_equals_the_set_check(self, data):
+        n = data.draw(st.one_of(st.just(1), st.integers(1, 9)))
+        length = data.draw(st.sampled_from([n - 1, n, n + 1]))
+        if data.draw(st.booleans()):  # a permutation, then a few edits
+            images = data.draw(st.permutations(range(n)))[:length]
+            images += [n - 1] * (length - len(images))
+            for _ in range(data.draw(st.integers(0, 2))):
+                at = data.draw(st.integers(0, max(length - 1, 0)))
+                images[at:at + 1] = [data.draw(st.integers(-2, n + 1))]
+        else:  # repeats, outside values and bools, drawn freely
+            images = data.draw(st.lists(
+                st.one_of(st.integers(-2, n + 1), st.booleans()),
+                min_size=length, max_size=length))
+        images = tuple(images)
+        if self.parent_accepts(n, images):
+            p = Permutation(n, images)
+            assert p.images == images
+            assert [p.inverse[y] for y in images] == list(range(n))
+        else:
+            with pytest.raises(ValueError) as caught:
+                Permutation(n, images)
+            assert str(caught.value) == \
+                "images must list each point of [0, n) exactly once"
+
+    @pytest.mark.parametrize("images", [(0.0, 1.0), (1, 0.0), (0, "1"),
+                                        (0, None)])
+    def test_non_integer_image_rejected(self, images):
+        # the set check let (0.0, 1.0) through, and apply_sets then failed
+        # with a TypeError (its min raised one on (0, "1") and (0, None));
+        # an image must index the inverse table
+        with pytest.raises(ValueError, match="exactly once"):
+            Permutation(2, images)
+
     def test_inverse(self):
         p = Permutation(4, (2, 0, 3, 1))
-        assert [p.inverse_apply(p.apply(x)) for x in range(4)] == [0, 1, 2, 3]
+        assert [p.inverse[p.images[x]] for x in range(4)] == [0, 1, 2, 3]
         s = FinSet.from_members(4, [0, 3])
         assert p.apply_set(s).to_list() == [1, 2]
         assert p.inverse_apply_sets([p.apply_set(s)])[0] == s
@@ -602,7 +644,7 @@ class TestFindIndependentShuffle:
     def test_incompatible_input_raises(self):
         with pytest.raises(IncompatiblePair):
             find_independent_shuffle(
-                PartialInjection.from_dict(4, {0: 0}), SWAP01, halves4(),
+                PartialInjection(4, ((0, 0),)), SWAP01, halves4(),
                 threshold=1, depth=1, layers=1, budget=3, seed=0)
 
     @pytest.mark.parametrize("budget", [0, 3])
@@ -617,7 +659,7 @@ class TestFindIndependentShuffle:
 
     def test_pinned_search(self):
         # a search that succeeds on its last attempt; its outcome is pinned
-        f = PartialInjection.from_dict(32, {1: 2, 6: 5})
+        f = PartialInjection(32, ((1, 2), (6, 5)))
         rep = find_independent_shuffle(f, SWAP01, bit_family(3, 32),
                                        threshold=3, depth=3, layers=1,
                                        budget=6, seed=5)
@@ -642,7 +684,7 @@ class TestFindIndependentShuffle:
                 for threshold in thresholds:
                     for seed in (5, 11):
                         reports.append(find_independent_shuffle(
-                            PartialInjection.from_dict(family.n, f),
+                            PartialInjection(family.n, tuple(f.items())),
                             FamilyMap.from_dict(g), family, threshold,
                             depth, layers, budget, seed))
         assert sum(rep.ok for rep in reports) == 63

@@ -1,8 +1,10 @@
 """Exact call counts of the engine functions that carry the work.
 
-A fixed prefix of ops, one set of tiny `run_pipeline` configs and one of
-tiny `find_independent_shuffle` searches, runs under cProfile, and the
-number of calls of each function below is pinned.  Counts do not depend on
+A fixed prefix of ops runs under cProfile, and the number of calls of each
+function below is pinned: one set of tiny `run_pipeline` configs with one
+of tiny `find_independent_shuffle` searches, and, shaped like the
+`codec-deep` workload, a few rank/unrank round trips, least-extension
+searches and `build_generic` folds.  Counts do not depend on
 the machine, so an algorithmic regression shows here exactly, where a
 timing would need many paired runs.  A change that moves a count updates
 the pin and says why.
@@ -11,12 +13,16 @@ the pin and says why.
 import cProfile
 import os
 import pstats
+import random
 
+from omegalab.codec import (least_extension_index, nth_partial_fn,
+                            partial_fn_index)
 from omegalab.config import ExperimentConfig
 from omegalab.diag import run_pipeline
 from omegalab.extender import (FamilyMap, PartialInjection,
                                find_independent_shuffle)
-from omegalab.finset import bit_family
+from omegalab.finset import CombinationSpec, Family, bit_family
+from omegalab.generic import IN, Demand, TargetGrid, build_generic
 
 TINY_PIPELINE = dict(builds=2, universe=1 << 12, rows=8, cols=8,
                      value_bound=4, threshold=2, depth=2, probes=2,
@@ -52,12 +58,46 @@ def op_prefix():
                                  seed=seed)
 
 
-def test_call_counts_are_pinned():
+def codec_deep_prefix():
+    # round trips from 10^7 to past 10^45, as the workload's rank slots
+    for e in (7, 15, 25, 35, 45):
+        m = 3 * 10 ** e + 1
+        assert partial_fn_index(nth_partial_fn(m)) == m
+    # searches for two- and three-entry probes above 0, 10^3 and 10^4
+    for probe, above in ((3, 0), (9, 1000), (5, 10_000)):
+        assert least_extension_index(nth_partial_fn(probe), above,
+                                     1 << 20) is not None
+    # folds of three demands over an empty family with a deep search bound
+    for k, bound in enumerate((10 ** 12, 10 ** 20)):
+        grid = TargetGrid.random(4, 4, 2, random.Random(k))
+        schedule = tuple(Demand(CombinationSpec(), p, IN) for p in (1, 5, 2))
+        build_generic([Family(bound, ())], grid, schedule, bound)
+
+
+CODEC_DEEP_PINNED_CALLS = {
+    ("codec.py", "_unrank_walk"): 16,
+    ("codec.py", "_rank_below"): 12,
+    ("codec.py", "_next_extension"): 7,
+    ("codec.py", "least_extension_index"): 7,  # 3 here, 4 from the folds
+    ("generic.py", "extend_to_meet"): 6,  # once per demand
+}
+
+
+def call_counts(ops, pinned):
     profile = cProfile.Profile()
-    profile.runcall(op_prefix)
-    calls = dict.fromkeys(PINNED_CALLS, 0)
+    profile.runcall(ops)
+    calls = dict.fromkeys(pinned, 0)
     for (path, _, name), (_, total, *_) in pstats.Stats(profile).stats.items():
         key = (os.path.basename(path), name)
         if key in calls:
             calls[key] += total
-    assert calls == PINNED_CALLS
+    return calls
+
+
+def test_call_counts_are_pinned():
+    assert call_counts(op_prefix, PINNED_CALLS) == PINNED_CALLS
+
+
+def test_codec_deep_call_counts_are_pinned():
+    assert call_counts(codec_deep_prefix, CODEC_DEEP_PINNED_CALLS) == \
+        CODEC_DEEP_PINNED_CALLS
