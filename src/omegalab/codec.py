@@ -89,19 +89,17 @@ class PartialFn:
 
     @classmethod
     def from_entries(cls, entries: Iterable[Sequence[int]]) -> "PartialFn":
-        points = []
-        seen = set()
+        points: dict[int, int] = {}  # point code -> value
         for e in entries:
-            a, b, i, v = map(int, e)
-            if a < 0 or b < 0 or v < 0 or i not in (0, 1):
+            a, b, i, v = e  # ints, not bools, as jsonio reads them
+            if (any(not isinstance(x, int) or isinstance(x, bool) for x in e)
+                    or a < 0 or b < 0 or v < 0 or i not in (0, 1)):
                 raise ValueError(f"bad entry {(a, b, i, v)}")
             code = point_code(a, b, i)
-            if code in seen:
+            if code in points:
                 raise ValueError(f"two values for point {(a, b, i)}")
-            seen.add(code)
-            points.append((code, v))
-        points.sort()
-        return cls(tuple(points))
+            points[code] = v
+        return cls(tuple(sorted(points.items())))
 
     @cached_property
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:

@@ -35,8 +35,14 @@ from .finset import (Family, FinSet, IndependenceReport, cells, full_mask,
                      min_combination_size)
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
-    ordered = tuple(sorted((int(a), int(b)) for a, b in pairs))
+    if not all(_is_int(x) for pair in pairs for x in pair):
+        raise ValueError(f"{what} members must be integers")
+    ordered = tuple(sorted((a, b) for a, b in pairs))
     sources = [a for a, _ in ordered]
     targets = [b for _, b in ordered]
     if len(set(sources)) != len(sources):
@@ -54,8 +60,8 @@ class PartialInjection:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("universe size must be >= 1")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError("universe size must be an integer >= 1")
         ordered = _check_pairs(self.pairs, "partial injection")
         for a, b in ordered:
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -174,16 +180,11 @@ _DRAW_WORDS = 4096
 
 @dataclass(frozen=True)
 class AtomShuffle:
-    """One permutation of positions per cell, twisting the order bijection."""
+    """One permutation of positions per cell, twisting the order bijection.
+    A plain record: build_permutation checks a caller's shuffle, and the
+    search does not re-check the ones random draws."""
 
     perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        # len(p) distinct entries inside [0, len(p)) permute it: O(len(p))
-        for p in self.perms:
-            if (len(set(p)) != len(p) or min(p, default=0) < 0
-                    or max(p, default=-1) >= len(p)):
-                raise ValueError("each cell shuffle must permute 0..size-1")
 
     @classmethod
     def random(cls, sizes: Sequence[int], rng: random.Random) -> "AtomShuffle":
@@ -237,6 +238,8 @@ class Permutation:
         # none negative, permute [0, n) exactly when every write
         # inverse[y] = x lands (no image is past n - 1 or other than an int)
         # and no slot is left at -1 (no image comes twice)
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError("universe size must be an integer >= 1")
         images = self.images
         inverse = [-1] * len(images)
         try:
@@ -334,7 +337,8 @@ def shuffle_sizes(f: PartialInjection, g: FamilyMap,
 
 def _complete(f: PartialInjection, sources: list[list[int]],
               targets: list[list[int]], shuffle: AtomShuffle) -> Permutation:
-    # _completion checked the cells and the caller the shuffle's shape
+    # _completion checked the cells; the shuffle is one random drew or one
+    # build_permutation checked
     images = [-1] * f.n
     for x, y in f.pairs:
         images[x] = y
@@ -351,8 +355,9 @@ def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
     Cell by cell (ascending signature), the points outside dom(f) go to the
     image cell's points outside ran(f), in order twisted by the shuffle.
     Raises IncompatiblePair, InducedMapNotPermutation or CardinalityMismatch
-    when the data cannot be completed this way, and then ValueError when
-    the shuffle's shape is not shuffle_sizes.
+    when the data cannot be completed this way, then ValueError when the
+    shuffle's shape is not shuffle_sizes, and then ValueError when a cell's
+    shuffle does not permute its positions.
     """
     sources, targets = _completion(f, g, family)
     if len(shuffle.perms) != len(sources):
@@ -362,6 +367,11 @@ def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
         if len(perm_k) != len(src):
             raise ValueError(f"shuffle for cell {k} has length "
                              f"{len(perm_k)}, cell needs {len(src)}")
+    # len(p) ints covering 0..len(p)-1 permute them; the type test refuses
+    # floats, which the set test alone would take (1.0 == 1)
+    if not all(all(map(_is_int, p)) and {*p} == {*range(len(p))}
+               for p in shuffle.perms):
+        raise ValueError("each cell shuffle must permute 0..size-1")
     return _complete(f, sources, targets, shuffle)
 
 

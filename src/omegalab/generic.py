@@ -349,15 +349,12 @@ class ComboDensityReport(NamedTuple):
 
 
 def check_all_combos_dense(families: Sequence[Family], probe_bound: int,
-                           search_bound: int,
-                           depth: Optional[int] = None) -> ComboDensityReport:
+                           search_bound: int, depth: int) -> ComboDensityReport:
     """Is every combination of the families dense in the enumeration, in the
     check_dense sense?  Reports the least failing (spec, probe), walking the
     combinations by finset.combination_masks.  Their masks hold no universe,
     so each search stops below min(search_bound, n), where the sets end."""
     merged = merge_families(families)
-    if depth is None:
-        depth = len(merged.sets)
     for mask, pos, neg in combination_masks(merged, depth):
         rep = check_dense(mask, probe_bound, min(search_bound, merged.n))
         if not rep.ok:

@@ -1,8 +1,10 @@
-"""Fuzz `extend-perm`, `close-orbit`, `rho-index`, `check-indep` and
-`diag-experiment` against the CLI's exit-status contract.
+"""Fuzz `extend-perm`, `close-orbit`, `rho-index`, `check-indep`,
+`diag-experiment` and `build-generic` against the CLI's exit-status
+contract.
 
 Each case writes its input files (a family with a demand or a permutation,
-a partial function, a family alone, or an experiment config), mostly
+a partial function, a family alone, an experiment config, or families with
+a grid and a demand schedule), mostly
 well-formed and sometimes mutated (wrong types, bools, negatives,
 duplicates, out-of-range values, huge ints, ints past Python's 4 300-digit
 int-string limit, missing keys), and runs `python -m omegalab` on them with
@@ -12,9 +14,11 @@ than 70, with no traceback; an error exit prints one stderr line whose
 length does not grow with the input.  Sizes stay small (k <= 30 sets,
 N <= 256 points, d <= 2, L <= 1, budget <= 2, layers <= 3; for check-indep
 k <= 8 and N <= 2^12; for diag-experiment N <= 2^12 or N = 10^12, K <= 2,
-Ma, Mk <= 8, q <= 2, samples <= 4) so that no case is slow by its own
-meaning.  The layers stay small because nothing bounds a closure's work
-yet: a permutation of 256 points can have an orbit far longer than any run.
+Ma, Mk <= 8, q <= 2, samples <= 4; for build-generic N <= 2^12 or
+N = 10^12, k <= 3 sets, grids <= 8 x 8 and probes <= 10^30, since decoding
+a probe is work) so that no case is slow by its own meaning.  The layers
+stay small because nothing bounds a closure's work yet: a permutation of
+256 points can have an orbit far longer than any run.
 """
 
 import json
@@ -34,6 +38,8 @@ CLOSE_ORBIT_EXITS = ALLOWED_EXITS - {1}
 RHO_INDEX_EXITS = ALLOWED_EXITS - {1, 2}
 # check-indep never degrades: it passes, fails (1) or refuses its input
 CHECK_INDEP_EXITS = ALLOWED_EXITS - {2}
+# build-generic checks no invariant: it builds, degrades or refuses
+BUILD_GENERIC_EXITS = ALLOWED_EXITS - {1}
 # the longest error line a case may print: well above any fixed message,
 # well below the echo of one of the huge ints drawn below
 MAX_ERROR_LINE = 240
@@ -184,6 +190,99 @@ def config_obj(draw):
     return mutated(obj, draw)
 
 
+# what a build-generic case gets wrong, if anything (one input at most, a
+# demand twice as often as the others)
+GENERIC_FAULTS = ["none", "demand", "demand", "schedule", "families", "grid",
+                  "bound"]
+
+
+@st.composite
+def generic_case(draw):
+    """Families, a grid and a schedule file for build-generic, with a drawn
+    --search-bound; one of them is now and then malformed."""
+    fault = draw(st.sampled_from(GENERIC_FAULTS))
+    n = 10 ** 12 if not draw(st.integers(0, 3)) else \
+        draw(st.integers(1, 1 << 12))
+    families, k = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        sets = [draw(st.lists(st.integers(0, min(n, 1 << 12) - 1),
+                              max_size=6))
+                for _ in range(draw(st.integers(0, 3 - k)))]
+        k += len(sets)
+        families.append({"N": n, "sets": sets})
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    vbound = draw(st.integers(1, 3))
+    grid = {"Ma": rows, "Mk": cols, "V": vbound,
+            "values": [[m, c, i, draw(st.integers(0, vbound - 1))]
+                       for m in range(rows) for c in range(cols)
+                       for i in (0, 1)]}
+    demands = [draw(demand_entry(k))
+               for _ in range(draw(st.integers(int(fault == "demand"), 4)))]
+    if fault == "demand":
+        at = draw(st.integers(0, len(demands) - 1))
+        demands[at] = draw(off_demand(demands[at], k))
+    schedule = {"demands": demands}
+    if fault == "schedule":
+        schedule = draw(st.sampled_from(
+            [{}, {"demand": demands}, {"demands": {}}, {"demands": None},
+             [demands], {"demands": [None]}]))
+    elif fault == "families":
+        at = draw(st.integers(0, len(families) - 1))
+        key = draw(st.sampled_from(["N", "sets"]))
+        families[at][key] = draw(st.one_of(HUGE, JUNK, st.just(PAST_LIMIT)))
+    elif fault == "grid":
+        key = draw(st.sampled_from(["Ma", "Mk", "V", "values"]))
+        grid[key] = draw(st.one_of(HUGE, JUNK, st.integers(-2, 0),
+                                   st.just(grid["values"][1:])))
+    top = min(n, 1 << 12)
+    bound = draw(st.sampled_from([top, top, draw(st.integers(1, top))]))
+    if fault == "bound":  # zero, negative, past N or malformed
+        bound = draw(st.sampled_from(
+            [0, -1, n + 1, 10 ** 40, "1.5", "x", "1" + "0" * 4300]))
+    return {"families": families}, grid, schedule, str(bound)
+
+
+@st.composite
+def demand_entry(draw, k):
+    # a spec over the k sets with disjoint pos and neg, a probe up to
+    # 10^30 (decoding it is work) and a polarity
+    pos = [j for j in draw(st.lists(st.integers(0, 2), unique=True)) if j < k]
+    neg = [j for j in range(k) if j not in pos and draw(st.booleans())]
+    return {"pos": pos, "neg": neg,
+            "probe": draw(st.one_of(st.integers(0, 16), st.integers(0, 16),
+                                    st.integers(0, 10 ** 30))),
+            "polarity": draw(st.sampled_from(["in", "out"]))}
+
+
+@st.composite
+def off_demand(draw, obj, k):
+    # one field off: an unknown, negative, huge or repeated index, pos and
+    # neg overlapping, a bool or another wrong type, a negative probe, an
+    # unknown polarity, or a missing key
+    obj = dict(obj)
+    key = draw(st.sampled_from(["pos", "neg", "probe", "polarity", "drop"]))
+    if key == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif key == "probe":
+        obj[key] = draw(st.one_of(st.integers(-3, -1), JUNK,
+                                  st.just(-(10 ** 60)), st.just(PAST_LIMIT)))
+    elif key == "polarity":
+        obj[key] = draw(st.one_of(st.sampled_from(["IN", "", "both"]), JUNK))
+    else:
+        # one_of flattens nested one_ofs, so each kind of fault is drawn
+        # from its own sample, not weighted by how many branches it has
+        other = obj["neg" if key == "pos" else "pos"]
+        stray = {"negative": st.integers(-3, -1),
+                 "unknown": st.integers(k, k + 2), "huge": HUGE,
+                 "past limit": st.just(PAST_LIMIT), "wrong type": JUNK,
+                 "overlap": st.sampled_from(other or [0]),
+                 "repeat": st.sampled_from(obj[key] or [0])}
+        kind = draw(st.sampled_from(["field", *stray]))
+        obj[key] = draw(JUNK) if kind == "field" else \
+            obj[key] + [draw(stray[kind])]
+    return obj
+
+
 def dump(obj):
     return json.dumps(obj).replace(f'"{PAST_LIMIT}"', "1" + "0" * 4300)
 
@@ -313,3 +412,24 @@ def test_diag_experiment_keeps_the_exit_contract(tmp_path, config):
     assert_contract(res, verdicts={0, 1, 2})
     if res.returncode in (0, 1, 2):
         assert json.loads(res.stdout)["ok"] == (res.returncode == 0)
+
+
+@given(generic_case())
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_build_generic_keeps_the_exit_contract(tmp_path, drawn):
+    families, grid, schedule, bound = drawn
+    paths = []
+    for name, obj in (("fams", families), ("eta", grid), ("sched", schedule)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump(obj))
+    res = run_capped(["build-generic", "--families", str(paths[0]),
+                      "--eta", str(paths[1]), "--demands", str(paths[2]),
+                      f"--search-bound={bound}"])
+    # a build (0) and a degraded run (2) print the report on stdout and one
+    # summary line on stderr; every other status is one error line
+    assert_contract(res, BUILD_GENERIC_EXITS)
+    if res.returncode in (0, 2):
+        report = json.loads(res.stdout)
+        assert report["degraded"] == (res.returncode == 2)

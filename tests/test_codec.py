@@ -271,8 +271,14 @@ class TestPartialFn:
             assert refusal([entry]) == f"bad entry {entry}"
         assert refusal([(0, 0, 0)]) == \
             "not enough values to unpack (expected 4, got 3)"
-        assert refusal([("x", 0, 0, 0)]) == \
-            "invalid literal for int() with base 10: 'x'"
+        assert refusal([("x", 0, 0, 0)]) == "bad entry ('x', 0, 0, 0)"
+
+    @pytest.mark.parametrize("entry", [
+        (0.7, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 0, 2.5), ("3", 0, 0, 0),
+        (0, 0, True, 0), (False, 0, 0, 0)])
+    def test_non_integer_members_refused(self, entry):
+        # refused as jsonio refuses them, not truncated or parsed by int()
+        assert refusal([entry]) == f"bad entry {entry}"
 
     def test_extends(self):
         small = PartialFn.from_entries([(0, 0, 0, 0)])

@@ -28,6 +28,40 @@ def halves4():
     return family_of(4, [[0, 1], [2, 3]])
 
 
+def demand_with_cells(sizes):
+    """(f, g, family, free) with free cells of these sizes, in signature
+    order: cell 0 lies outside every set, cell j + 1 is set j, and g fixes
+    each set.  A cell of size 0 is one point that f fixes.  free[k] lists
+    cell k's free points, which g's identity sends onto themselves."""
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(list(range(start, start + max(size, 1))))
+        start += max(size, 1)
+    fixed = tuple((b[0], b[0]) for b, size in zip(blocks, sizes) if not size)
+    g = FamilyMap(tuple((j, j) for j in range(len(blocks) - 1)))
+    free = [b if size else [] for b, size in zip(blocks, sizes)]
+    fam = family_of(start, blocks[1:])
+    return PartialInjection(start, fixed), g, fam, free
+
+
+def parent_shuffle_refusal(perms, sizes):
+    """The message build_permutation gives a shuffle of these perms on
+    cells of these sizes, or None: the shape checks, then the set/min/max
+    check that AtomShuffle ran on construction before it moved here."""
+    if len(perms) != len(sizes):
+        return (f"shuffle covers {len(perms)} cells, "
+                f"decomposition has {len(sizes)}")
+    for k, (p, size) in enumerate(zip(perms, sizes)):
+        if len(p) != size:
+            return (f"shuffle for cell {k} has length {len(p)}, "
+                    f"cell needs {size}")
+    for p in perms:
+        if (len(set(p)) != len(p) or min(p, default=0) < 0
+                or max(p, default=-1) >= len(p)):
+            return "each cell shuffle must permute 0..size-1"
+    return None
+
+
 class TestPartialInjection:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +70,25 @@ class TestPartialInjection:
             PartialInjection(4, ((0, 1), (2, 1)))  # not injective
         with pytest.raises(ValueError):
             PartialInjection(4, ((0, 4),))  # leaves the universe
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: PartialInjection(4, ((0.7, 1.9),)), "partial injection"),
+        (lambda: PartialInjection(4, ((0, 1), (2, "3"))), "partial injection"),
+        (lambda: PartialInjection(4, ((True, 1),)), "partial injection"),
+        (lambda: FamilyMap(((True, 1.5),)), "family map"),
+        (lambda: FamilyMap(((0, 1.0),)), "family map"),
+        (lambda: FamilyMap((("0", 1),)), "family map")])
+    def test_non_integer_members_refused(self, make, what):
+        # refused as jsonio refuses them, not truncated by int()
+        with pytest.raises(ValueError,
+                           match=f"^{what} members must be integers$"):
+            make()
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True, "4"])
+    def test_universe_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError,
+                           match="^universe size must be an integer >= 1$"):
+            PartialInjection(n, ())
 
     def test_pairs_are_sorted_by_source(self):
         f = PartialInjection(8, tuple({3: 5, 1: 2}.items()))
@@ -310,10 +363,59 @@ class TestBuildPermutation:
          family_of(5, [[0, 1], [2, 3, 4]]), AtomShuffle(((0, 1),)),
          CardinalityMismatch,
          "cell 0 has 2 free points but its image cell has 3"),
+        # the pair, then the shuffle's shape, then its positions
+        (PartialInjection(4, ((0, 0),)), SWAP01, halves4(),
+         AtomShuffle(((0, 0), (0, 1))), IncompatiblePair,
+         "point 0 disagrees with its image about set 0"),
+        (PartialInjection.empty(4), SWAP01, halves4(), AtomShuffle(((0, 0),)),
+         ValueError, "shuffle covers 1 cells, decomposition has 2"),
+        (PartialInjection.empty(4), SWAP01, halves4(),
+         AtomShuffle(((0, 0), (0,))), ValueError,
+         "shuffle for cell 1 has length 1, cell needs 2"),
+        (PartialInjection.empty(4), SWAP01, halves4(),
+         AtomShuffle(((0, 1), (1, 1))), ValueError,
+         r"each cell shuffle must permute 0\.\.size-1"),
+        (PartialInjection.empty(4), SWAP01, halves4(),
+         AtomShuffle(((0.0, 1.0), (0, 1))), ValueError,
+         r"each cell shuffle must permute 0\.\.size-1"),
     ])
     def test_error_messages(self, f, g, fam, shuffle, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             build_permutation(f, g, fam, shuffle)
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shuffle_check_matches_parent(self, sizes, data):
+        # cell counts and lengths off by one either way, positions in
+        # [-2, length + 1] with repeats, or permutations; empty cells included
+        f, g, fam, free = demand_with_cells(sizes)
+        assert shuffle_sizes(f, g, fam) == tuple(sizes)
+        count = max(len(sizes) + data.draw(st.integers(-1, 1)), 0)
+        perms = []
+        for k in range(count):
+            size = sizes[k] if k < len(sizes) else 2
+            length = max(size + data.draw(st.integers(-1, 1)), 0)
+            perms.append(tuple(data.draw(st.one_of(
+                st.permutations(range(length)),
+                st.lists(st.integers(-2, length + 1), min_size=length,
+                         max_size=length)))))
+        expected = parent_shuffle_refusal(perms, sizes)
+        if expected is not None:
+            with pytest.raises(ValueError) as caught:
+                build_permutation(f, g, fam, AtomShuffle(tuple(perms)))
+            assert str(caught.value) == expected
+            return
+        perm = build_permutation(f, g, fam, AtomShuffle(tuple(perms)))
+        images = list(range(f.n))  # f fixes the points of empty cells
+        for src, p in zip(free, perms):
+            for x, pos in zip(src, p):
+                images[x] = src[pos]
+        assert perm.images == tuple(images)
+        if any(perms):  # the same shape with float positions is refused
+            floats = tuple(tuple(map(float, p)) for p in perms)
+            with pytest.raises(ValueError,
+                               match=r"^each cell shuffle must permute"):
+                build_permutation(f, g, fam, AtomShuffle(floats))
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -351,6 +453,15 @@ class TestPermutation:
             Permutation(3, (0, 0, 2))
         with pytest.raises(ValueError):
             Permutation(3, (0, 1))
+
+    @pytest.mark.parametrize("n, images", [
+        (0, ()), (-1, ()), (2.0, (0, 1)), (True, (0,)), ("2", (0, 1))])
+    def test_universe_size_must_be_a_positive_int(self, n, images):
+        # a float n used to pass, as len(images) == n, and fail later in
+        # _image_sets with a TypeError
+        with pytest.raises(ValueError,
+                           match="^universe size must be an integer >= 1$"):
+            Permutation(n, images)
 
     @pytest.mark.parametrize("images", [(0, 2, 2), (1, 1, 0), (0, 1, 3),
                                         (-1, 0, 1), (0, 1, 2, 2)])
@@ -540,19 +651,29 @@ class TestOrbitClosure:
         assert len(calls) == 2 * 5
 
 
+def build_with_shuffle(perms):
+    """build_permutation on cells shaped like the perms, with those perms."""
+    f, g, fam, _ = demand_with_cells([len(p) for p in perms])
+    return build_permutation(f, g, fam, AtomShuffle(perms))
+
+
 class TestAtomShuffle:
+    # a shuffle is a plain record; build_permutation checks it where a
+    # caller hands it in
     def test_validation(self):
         with pytest.raises(ValueError):
-            AtomShuffle(((0, 2),))
-        AtomShuffle(((), (0,), (1, 0)))
+            build_with_shuffle(((0, 2),))
+        assert build_with_shuffle(((), (0,), (1, 0))).images == (0, 1, 3, 2)
 
     @pytest.mark.parametrize("perms", [
         ((0, 0),), ((1, 2),), ((-1, 0),), ((0, 1), (0, 2)), ((2, 0, 0),),
-        ((0,), (1,)),
+        ((0,), (1,)), ((0.0, 1.0),), ((1, 0.0),), ((0.5,),), (("0",),),
     ])
     def test_repeated_or_outside_position_rejected(self, perms):
-        with pytest.raises(ValueError, match="must permute 0..size-1"):
-            AtomShuffle(perms)
+        AtomShuffle(perms)  # the record itself is not checked
+        message = r"^each cell shuffle must permute 0\.\.size-1$"
+        with pytest.raises(ValueError, match=message):
+            build_with_shuffle(perms)
 
     def test_random_shapes(self):
         sh = AtomShuffle.random((3, 0, 2), random.Random(1))
@@ -691,6 +812,22 @@ class TestFindIndependentShuffle:
         text = "\n".join(map(repr, reports))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d54477239f93dfd9866e9e390fdda9b555e7637f73055dacdaafeac07b168ba5")
+
+    def test_drawn_shuffles_are_not_rechecked(self, monkeypatch):
+        # build_permutation holds the only shuffle check, and the search
+        # hands it none of its draws, at any budget
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_permutation(*args)
+        monkeypatch.setattr(extender, "build_permutation", counted)
+        for budget in (0, 1, 8):
+            rep = find_independent_shuffle(
+                PartialInjection.empty(8), SWAP01, bit_family(2, 8),
+                threshold=3, depth=2, layers=1, budget=budget, seed=5)
+            assert rep.attempts == budget  # the threshold is unreachable
+        assert calls == []
 
     def test_decomposition_derived_once_per_search(self, monkeypatch):
         calls = []

@@ -468,7 +468,8 @@ class TestAutoSchedule:
 class TestCheckAllCombosDense:
     def test_detects_sparse_combination(self):
         fams = [family_of(64, [[0]])]
-        rep = check_all_combos_dense(fams, probe_bound=2, search_bound=64)
+        rep = check_all_combos_dense(fams, probe_bound=2, search_bound=64,
+                                     depth=1)
         assert not rep.ok
         assert rep.failing_spec == CombinationSpec(pos=(0,))
         assert rep.failing_probe == 1
@@ -477,7 +478,8 @@ class TestCheckAllCombosDense:
         # split a decent initial segment by parity of index
         evens = [m for m in range(0, 512, 2)]
         fams = [family_of(512, [evens])]
-        rep = check_all_combos_dense(fams, probe_bound=4, search_bound=512)
+        rep = check_all_combos_dense(fams, probe_bound=4, search_bound=512,
+                                     depth=1)
         assert isinstance(rep, ComboDensityReport)
         assert rep.ok == (rep.failing_spec is None)
 
@@ -485,7 +487,7 @@ class TestCheckAllCombosDense:
         # the README's verify-star scale: the complement of bit 0 is the
         # first combination to miss a probe, probe 3
         n = 1 << 20
-        rep = check_all_combos_dense([bit_family(4, n)], 16, n)
+        rep = check_all_combos_dense([bit_family(4, n)], 16, n, 4)
         assert rep == ComboDensityReport(False, CombinationSpec(neg=(0,)), 3,
                                          16, n)
 

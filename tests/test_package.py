@@ -148,7 +148,7 @@ def _records():
             16),
         "StepRecord": run.steps[0],
         "GenericRun": run,
-        "ComboDensityReport": check_all_combos_dense([fam], 2, 16),
+        "ComboDensityReport": check_all_combos_dense([fam], 2, 16, 1),
         "CompatibilityReport": check_compatible(
             PartialInjection(4, ((0, 2),)), g, small),
         "AtomDecomposition": atoms_of(g, small),

@@ -2,19 +2,22 @@
 
 A fixed prefix of ops runs under cProfile, and the number of calls of each
 function below is pinned: one set of tiny `run_pipeline` configs with one
-of tiny `find_independent_shuffle` searches, and, shaped like the
-`codec-deep` workload, a few rank/unrank round trips, least-extension
-searches and `build_generic` folds.  Counts do not depend on
-the machine, so an algorithmic regression shows here exactly, where a
-timing would need many paired runs.  A change that moves a count updates
-the pin and says why.
+of tiny `find_independent_shuffle` searches; shaped like the `codec-deep`
+workload, a few rank/unrank round trips, least-extension searches and
+`build_generic` folds; and, shaped like the `cli-cold` workload, a few
+`diag-experiment` requests through `cli.main` on tiny config files.
+Counts do not depend on the machine, so an algorithmic regression shows
+here exactly, where a timing would need many paired runs.  A change that
+moves a count updates the pin and says why.
 """
 
 import cProfile
+import json
 import os
 import pstats
 import random
 
+from omegalab import cli
 from omegalab.codec import (least_extension_index, nth_partial_fn,
                             partial_fn_index)
 from omegalab.config import ExperimentConfig
@@ -101,3 +104,31 @@ def test_call_counts_are_pinned():
 def test_codec_deep_call_counts_are_pinned():
     assert call_counts(codec_deep_prefix, CODEC_DEEP_PINNED_CALLS) == \
         CODEC_DEEP_PINNED_CALLS
+
+
+CLI_COLD_PINNED_CALLS = {
+    ("jsonio.py", "read_json"): 3,  # one config per request
+    ("jsonio.py", "write_json"): 3,  # one report per request
+    ("diag.py", "run_pipeline"): 3,
+    ("codec.py", "nth_partial_fn"): 86,
+    ("diag.py", "verify_catch"): 24,
+}
+
+
+def test_cli_cold_call_counts_are_pinned(tmp_path):
+    # one config file and one report file per request, as the workload's
+    # child processes read and write them
+    requests = []
+    for seed in (1, 2, 3):
+        config = tmp_path / f"config-{seed}.json"
+        config.write_text(json.dumps(
+            ExperimentConfig(seed=seed, **TINY_PIPELINE).to_json_obj()))
+        requests.append(["diag-experiment", "--config", str(config),
+                         "--out", str(tmp_path / f"report-{seed}.json")])
+
+    def cli_cold_prefix():
+        for argv in requests:
+            # every tiny config degrades (search-exhausted or grid-overflow)
+            assert cli.main(argv) == cli.EX_DEGRADED
+    assert call_counts(cli_cold_prefix, CLI_COLD_PINNED_CALLS) == \
+        CLI_COLD_PINNED_CALLS
