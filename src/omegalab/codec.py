@@ -12,10 +12,12 @@ codes.  Slots group by the triple they describe, at most one slot per group
 may be set, and the functional codes with all slots below a bit bound number
 the product over groups of (1 + the group's slots below it), which is
 (w+1)! * (k+1) for the bound w(w+1)/2 + k, 0 <= k <= w.  Unranking walks the
-positions below its answer's top slot once, a diagonal at a time: diagonal d
-holds slot d - g of each group g <= d, so a free group's slots at or below
-it are known, and the product changes by one exact division and
-multiplication per free slot: O(bits) big-integer steps.
+diagonals below its answer's top slot once: diagonal d holds slot d - g of
+each group g <= d, so a free group's slots at or below it are known.  Over a
+run of consecutive free groups their factors of the product telescope, so
+one division finds the run's slot that the answer sets, if any: one
+big-integer division and multiplication per run of free groups, plus a step
+per used group passed, O(w(k+1)) steps for k entries below diagonal w.
 
 A PartialFn is stored as its (point code, value) pairs sorted by point code,
 the codec's native form: group g of the enumeration is point code g, and its
@@ -163,32 +165,46 @@ def _walk_start(m: int) -> tuple[int, int, int]:
 
 def _unrank_walk(m: int) -> list[tuple[int, int, int]]:
     """(position, group, value) of each slot of the m-th functional code, top
-    down, by one walk of the positions below its bit length, a diagonal at a
-    time: diagonal d holds group g's slot (g, d - g) at position
-    d(d+3)/2 - g, from g = 0 at its top.  `total` counts the functional codes
-    with all slots below the walk's position and no group used yet; a free
-    group meets its slot (g, v) with v + 1 slots at or below it, so passing
-    the slot turns its factor v + 2 of that product into v + 1."""
+    down, by one walk of the diagonals below its bit length: diagonal d holds
+    group g's slot (g, d - g) at position d(d+3)/2 - g, from g = 0 at its
+    top.  `total` counts the functional codes with all slots below the
+    walk's position and no group used yet; a free group g meets its slot
+    with d - g + 1 slots at or below it, so passing the slot turns its
+    factor d - g + 2 of that product into d - g + 1.  Over a run a..b-1 of
+    free groups those factors telescope: with q = total / (d - a + 2),
+    passing groups a..h leaves q(d - h + 1) codes, so the first h at which
+    those codes no longer exceed m, the slot that the code sets if h < b, is
+    d + 1 - m // q: one division.  Setting it leaves q codes; passing the
+    whole run leaves q(d - b + 2).  m < total throughout, so h >= a."""
     if m < 0:
         raise ValueError("index must be >= 0")
     w, k, total = _walk_start(m)
     slots: list[tuple[int, int, int]] = []
-    used = set()
-    first = w - k + 1  # diagonal w is walked below the bound only
+    used = [w + 1]  # the groups with a slot set, ascending, then w + 1 > d
+    a = w - k + 1  # diagonal w is walked below the bound only
     for d in range(w, -1, -1):
-        for g in range(first, d + 1):
-            if g in used:
-                continue
-            v = d - g
-            total = total // (v + 2) * (v + 1)
-            if m >= total:  # the `total` codes leaving the slot clear precede m
-                m -= total
-                slots.append((d * (d + 3) // 2 - g, g, v))
-                if not m:
-                    return slots
-                total //= v + 1
-                used.add(g)
-        first = 0
+        j = 0  # used[j] is the first used group at or past a
+        while a <= d:
+            b = used[j]  # the run is a..b-1, maybe empty
+            if b > d:
+                b = d + 1
+            if a < b:
+                q = total // (d - a + 2)
+                h = d + 1 - m // q
+                if h < b:  # the codes leaving a..h clear precede m: set h
+                    m -= q * (d - h + 1)
+                    slots.append((d * (d + 3) // 2 - h, h, d - h))
+                    if not m:
+                        return slots
+                    total = q
+                    used.insert(j, h)
+                    j += 1
+                    a = h + 1
+                    continue
+                total = q * (d - b + 2)
+            a = b + 1
+            j += 1
+        a = 0
     return slots
 
 

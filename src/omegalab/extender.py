@@ -237,7 +237,8 @@ class Permutation:
         # one O(n) pass checks the images and builds the inverse: n images,
         # none negative, permute [0, n) exactly when every write
         # inverse[y] = x lands (no image is past n - 1 or other than an int)
-        # and no slot is left at -1 (no image comes twice)
+        # and no slot is left at -1 (no image comes twice); a bool lands as
+        # 0 or 1, so only the images at inverse[0] and inverse[1] can be one
         if not _is_int(self.n) or self.n < 1:
             raise ValueError("universe size must be an integer >= 1")
         images = self.images
@@ -249,7 +250,8 @@ class Permutation:
                     inverse[y] = x
         except (IndexError, TypeError):
             ok = False
-        if not ok or -1 in inverse:
+        if (not ok or -1 in inverse
+                or not all(_is_int(images[x]) for x in inverse[:2])):
             raise ValueError("images must list each point of [0, n) exactly once")
         object.__setattr__(self, "inverse", tuple(inverse))
 

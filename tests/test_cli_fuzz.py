@@ -60,8 +60,10 @@ def some_int(low, high):
 
 
 def mutated(value, draw):
-    """The value, or one time in sixteen a huge int or a wrong type."""
-    if draw(st.integers(0, 15)):
+    """The value, or one time in sixteen a huge int or a wrong type.  It
+    fires on a middle draw, since a test's first cases favour 0 and the
+    bounds (its first case draws 0 throughout)."""
+    if draw(st.integers(0, 15)) != 7:
         return value
     return draw(st.one_of(HUGE, JUNK))
 

@@ -762,6 +762,20 @@ class TestWalksAgainstOracles:
         raw = sum(1 << p for p, _, _ in slots)
         assert partial_fn_index(fn) == raw_rank_below(raw, []) == m
 
+    def test_run_walk_equals_position_walk_below_50_000(self):
+        # every way a run of free groups ends comes up here: a set slot, a
+        # used group, the diagonal's end, and m reaching 0 inside the run
+        for m in range(50_000):
+            assert codec._unrank_walk(m) == position_unrank_walk(m)
+
+    @given(st.integers(1000, 5000).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
+    @settings(max_examples=10, deadline=None)
+    def test_run_walk_equals_position_walk_at_thousands_of_bits(self, m):
+        slots = position_unrank_walk(m)
+        assert codec._unrank_walk(m) == slots
+        assert partial_fn_index(nth_partial_fn(m)) == m
+
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20),
                               st.integers(0, 1), st.integers(0, 40)),
                     max_size=12))

@@ -471,10 +471,12 @@ class TestPermutation:
 
     @staticmethod
     def parent_accepts(n, images):
-        # the earlier set/min/max check, kept as the oracle of the one pass
+        # the earlier set/min/max check, kept as the oracle of the one pass,
+        # and no bool image, which that check let through
         return not (len(images) != n or len(set(images)) != n
                     or min(images, default=0) < 0
-                    or max(images, default=-1) >= n)
+                    or max(images, default=-1) >= n
+                    or any(isinstance(y, bool) for y in images))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -510,6 +512,15 @@ class TestPermutation:
         # an image must index the inverse table
         with pytest.raises(ValueError, match="exactly once"):
             Permutation(2, images)
+
+    @pytest.mark.parametrize("n, images", [
+        (2, (True, False)), (2, (0, True)), (2, (False, 1)), (1, (False,)),
+        (3, (2, True, 0))])
+    def test_bool_images_rejected(self, n, images):
+        # Permutation(2, (True, False)) used to construct and compare equal
+        # to Permutation(2, (1, 0)); a bool can only be the image 0 or 1
+        with pytest.raises(ValueError, match="exactly once"):
+            Permutation(n, images)
 
     def test_inverse(self):
         p = Permutation(4, (2, 0, 3, 1))
