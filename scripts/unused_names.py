@@ -12,7 +12,8 @@ scope, so a method counts as used wherever its name is.  Dunder names and
 the CLI's _cmd_* handlers are left out.  Prints one line per unused name and
 a count.  Since a use cannot tell apart two defs of one name, it then lists
 each def whose name another def of the package shares, with its own count:
-such a def may be unused although its name is not.  Gates nothing.  With no
+such a def may be unused although its name is not.  Exits 1 when it lists
+an unused name and 0 when it lists none, whatever the shared names; with no
 path, or a path that does not exist, it prints one usage line and exits 2.
 """
 
@@ -74,7 +75,7 @@ def main(paths: list[str]) -> int:
     for line in shared:
         print(line)
     print(f"{len(shared)} defs share a name with another def")
-    return 0
+    return 1 if unused else 0
 
 
 if __name__ == "__main__":

@@ -62,6 +62,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 SLOT_LIMIT = 10 ** 7
 
 
+def _is_int(x: object) -> bool:
+    """An int, not a bool: the one integer test of every boundary that reads
+    caller data (bool subclasses int, so isinstance alone would take True)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cantor_pair(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
@@ -94,7 +100,7 @@ class PartialFn:
         points: dict[int, int] = {}  # point code -> value
         for e in entries:
             a, b, i, v = e  # ints, not bools, as jsonio reads them
-            if (any(not isinstance(x, int) or isinstance(x, bool) for x in e)
+            if (not all(map(_is_int, e))
                     or a < 0 or b < 0 or v < 0 or i not in (0, 1)):
                 raise ValueError(f"bad entry {(a, b, i, v)}")
             code = point_code(a, b, i)

@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .codec import _is_int
 from .generic import check_grid_size
 
 # stream tags for child_seed
 GRID_TAG = 1
 PERM_TAG = 2
-HOMOG_TAG = 4
 
 _SEED_MOD = 1 << 63
 
@@ -96,7 +96,7 @@ class ExperimentConfig:
             if key not in obj:
                 raise ValueError(f"config is missing key {key!r}")
             value = obj[key]
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"config key {key!r} must be an integer")
             kwargs[field] = value
         extra = set(obj) - set(_JSON_KEYS.values())

@@ -9,8 +9,8 @@ masks, however many of the 2^|g| signatures are empty.  build_permutation
 completes such a pair to a full permutation, filling each cell with an
 order bijection twisted by a per-cell shuffle.  A Permutation holds its
 image tuple and its inverse, both from the one O(n) pass that checks it.
-Closing the family under a permutation's forward and backward images and
-re-testing independence is the homogenization step at the end of the module.
+find_independent_shuffle draws shuffles until the family, closed under
+the completed permutation's forward and backward images, stays independent.
 Sets are imaged a front at a time, in C-level passes with no Python loop
 over points: up to eight sets share one byte per point, holding each set's
 base-2 digit for that point in its own bit, and one itemgetter over the
@@ -28,15 +28,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .config import HOMOG_TAG, child_seed
+from .codec import _is_int
 from .errors import (CardinalityMismatch, IncompatiblePair,
                      InducedMapNotPermutation)
 from .finset import (Family, FinSet, IndependenceReport, cells, full_mask,
                      min_combination_size)
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_pairs(pairs: Sequence[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
@@ -330,13 +326,6 @@ def _completion(f: PartialInjection, g: FamilyMap, family: Family
     return sources, targets
 
 
-def shuffle_sizes(f: PartialInjection, g: FamilyMap,
-                  family: Family) -> tuple[int, ...]:
-    """Cell sizes net of dom(f) — the shape a shuffle must have.  Raises as
-    build_permutation does on data that cannot be completed."""
-    return tuple(len(s) for s in _completion(f, g, family)[0])
-
-
 def _complete(f: PartialInjection, sources: list[list[int]],
               targets: list[list[int]], shuffle: AtomShuffle) -> Permutation:
     # _completion checked the cells; the shuffle is one random drew or one
@@ -358,8 +347,9 @@ def build_permutation(f: PartialInjection, g: FamilyMap, family: Family,
     image cell's points outside ran(f), in order twisted by the shuffle.
     Raises IncompatiblePair, InducedMapNotPermutation or CardinalityMismatch
     when the data cannot be completed this way, then ValueError when the
-    shuffle's shape is not shuffle_sizes, and then ValueError when a cell's
-    shuffle does not permute its positions.
+    shuffle's shape is not the free cell sizes (each cell's points outside
+    dom(f)), and then ValueError when a cell's shuffle does not permute its
+    positions.
     """
     sources, targets = _completion(f, g, family)
     if len(shuffle.perms) != len(sources):
@@ -474,41 +464,3 @@ def find_independent_shuffle(f: PartialInjection, g: FamilyMap, family: Family,
             best_attempt, best_min_size = attempt, size
     return ShuffleSearchReport(False, budget, budget, None, None, None, None,
                                best_attempt, best_min_size)
-
-
-class HomogenizeReport(NamedTuple):
-    steps: tuple[ShuffleSearchReport, ...]
-    family: Family
-    failed_at: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed_at is None
-
-
-def homogenize(family: Family,
-               demands: Sequence[tuple[PartialInjection, FamilyMap]],
-               threshold: int, depth: int, layers: int, budget: int,
-               seed: int) -> HomogenizeReport:
-    """Work through extension demands in order, growing the family by each
-    successful closure; stops at the first demand whose search fails.
-
-    This is the paper's homogenization step iterated, for a library caller:
-    each step's closure becomes the next step's family.  No CLI command or
-    pipeline runs it.
-
-    Demand idx runs find_independent_shuffle on the current family with the
-    given threshold, depth, layers and budget, seeded by child_seed(seed,
-    HOMOG_TAG, idx).
-    """
-    current = family
-    steps: list[ShuffleSearchReport] = []
-    for idx, (f, g) in enumerate(demands):
-        rep = find_independent_shuffle(
-            f, g, current, threshold, depth, layers, budget,
-            child_seed(seed, HOMOG_TAG, idx))
-        steps.append(rep)
-        if not rep.ok:
-            return HomogenizeReport(tuple(steps), current, idx)
-        current = rep.closure
-    return HomogenizeReport(tuple(steps), current, None)

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .codec import (EMPTY_FN, PartialFn, check_dense, least_extension_index,
-                    nth_partial_fn, point_code)
+from .codec import (EMPTY_FN, PartialFn, _is_int, check_dense,
+                    least_extension_index, nth_partial_fn, point_code)
 from .errors import GridOverflow, SearchExhausted
 from .finset import (CombinationSpec, Family, FinSet, combination_mask,
                      combination_masks, combination_specs)
@@ -46,12 +46,18 @@ class TargetGrid:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1 or self.value_bound < 1:
-            raise ValueError("grid dimensions and value bound must be >= 1")
+        # ints, not bools or floats, so that grid_to_obj writes a file that
+        # grid_from_obj reads back
+        if not all(_is_int(d) and d >= 1
+                   for d in (self.rows, self.cols, self.value_bound)):
+            raise ValueError("grid dimensions and value bound must be "
+                             "integers >= 1")
         if len(self.values) != self.rows * self.cols * 2:
             raise ValueError("value table must cover the full grid")
-        if any(not 0 <= v < self.value_bound for v in self.values):
-            raise ValueError("grid values must lie in [0, value_bound)")
+        bound = self.value_bound
+        if not all(_is_int(v) and 0 <= v < bound for v in self.values):
+            raise ValueError("grid values must be integers in "
+                             "[0, value_bound)")
 
     def value_at(self, m: int, k: int, i: int) -> int:
         if not (0 <= m < self.rows and 0 <= k < self.cols and i in (0, 1)):

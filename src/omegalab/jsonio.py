@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .codec import PartialFn
+from .codec import PartialFn, _is_int
 from .finset import CombinationSpec, Family, FinSet, IndependenceReport
 from .generic import (IN, OUT, ComboDensityReport, Demand, GenericRun,
                       TargetGrid)
@@ -38,8 +38,7 @@ def read_json(path: str) -> Any:
 
 
 def _int_list(obj: Any, what: str) -> list[int]:
-    if not isinstance(obj, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in obj):
+    if not isinstance(obj, list) or not all(map(_is_int, obj)):
         raise ValueError(f"{what} must be a list of integers")
     return obj
 
@@ -54,7 +53,7 @@ def _require(obj: Any, keys: Sequence[str], what: str) -> None:
 
 def _universe_size(obj: dict[str, Any], what: str) -> int:
     n = obj["N"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"{what} key N must be an integer")
     return n
 
@@ -138,7 +137,7 @@ def grid_from_obj(obj: Any) -> TargetGrid:
     _require(obj, ("Ma", "Mk", "V", "values"), "grid")
     rows, cols, vbound = obj["Ma"], obj["Mk"], obj["V"]
     for name, val in (("Ma", rows), ("Mk", cols), ("V", vbound)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        if not _is_int(val) or val < 1:
             raise ValueError(f"grid key {name} must be a positive integer")
     if not isinstance(obj["values"], list):
         raise ValueError("grid values must be a list")
@@ -180,7 +179,7 @@ def demand_from_obj(obj: Any) -> Demand:
     if obj["polarity"] not in (IN, OUT):
         raise ValueError(f"demand polarity must be {IN!r} or {OUT!r}")
     probe = obj["probe"]
-    if not isinstance(probe, int) or isinstance(probe, bool) or probe < 0:
+    if not _is_int(probe) or probe < 0:
         raise ValueError("demand probe must be an integer >= 0")
     spec = CombinationSpec(tuple(_int_list(obj["pos"], "pos")),
                            tuple(_int_list(obj["neg"], "neg")))

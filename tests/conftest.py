@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block.
+"""Shared pytest plumbing: the acceptance-criteria summary block, and the
+free cell sizes of an extension demand.
 
 Tests marked @pytest.mark.criterion(n, "title") get one PASS/FAIL/XFAIL line
 each at the end of the run, so the acceptance verdict is readable at a
@@ -6,6 +7,9 @@ glance without scrolling through the full -v listing.
 """
 
 import pytest
+
+from omegalab.extender import _completion
+
 
 _RESULTS: dict[int, tuple[str, str]] = {}
 
@@ -44,3 +48,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_RESULTS):
         title, status = _RESULTS[num]
         terminalreporter.write_line(f"criterion {num} ({title}): {status}")
+
+
+@pytest.fixture(scope="session")
+def free_cell_sizes():
+    """(f, g, family) -> each cell's count of points outside dom(f), in
+    signature order: the shape a shuffle must have.  Raises as
+    build_permutation does on a pair that cannot be completed."""
+    return lambda f, g, family: tuple(
+        len(src) for src in _completion(f, g, family)[0])

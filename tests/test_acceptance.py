@@ -30,7 +30,7 @@ from omegalab.diag import run_pipeline
 from omegalab.errors import GridOverflow, SearchExhausted
 from omegalab.extender import (AtomShuffle, FamilyMap, PartialInjection,
                                atoms_of, build_permutation,
-                               find_independent_shuffle, shuffle_sizes)
+                               find_independent_shuffle)
 from omegalab.finset import (Family, FinSet, bit_family,
                              boolean_combination, combination_specs,
                              is_independent)
@@ -102,7 +102,7 @@ def test_criterion_2_enumeration_roundtrip():
 
 
 @pytest.mark.criterion(3, "permutation extension exactness")
-def test_criterion_3_extension_exactness():
+def test_criterion_3_extension_exactness(free_cell_sizes):
     swap = FamilyMap.from_dict({0: 1, 1: 0})
     halves = Family(4, (FinSet.from_members(4, [0, 1]),
                         FinSet.from_members(4, [2, 3])))
@@ -127,7 +127,7 @@ def test_criterion_3_extension_exactness():
             take = rng.randint(0, len(src))
             pairs.extend(zip(src[:take], tgt[:take]))
         f = PartialInjection(n, tuple(pairs))
-        sizes = shuffle_sizes(f, g, fam)
+        sizes = free_cell_sizes(f, g, fam)
         result = build_permutation(f, g, fam, AtomShuffle.random(sizes, rng))
         for x, y in f.pairs:
             assert result.images[x] == y

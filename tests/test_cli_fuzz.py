@@ -296,7 +296,9 @@ def drawn_flags(draw, ranges):
     flags = {}
     for name, (low, high) in ranges.items():
         flags[name] = str(draw(st.integers(low, high)))
-        if not draw(st.integers(0, 11)):  # negative, huge or malformed
+        # one flag in twelve is negative, huge or malformed; fired on a
+        # middle draw, as in mutated(), since early cases favour 0
+        if draw(st.integers(0, 11)) == 7:
             flags[name] = draw(st.one_of(st.integers(-3, 0).map(str),
                                          st.sampled_from(BAD_ARGUMENTS)))
     return flags

@@ -12,10 +12,9 @@ from omegalab.errors import (CardinalityMismatch, IncompatiblePair,
 from omegalab.extender import (AtomDecomposition, AtomShuffle, FamilyMap,
                                PartialInjection, Permutation, atoms_of,
                                build_permutation, check_compatible,
-                               find_independent_shuffle, homogenize,
-                               orbit_closure, shuffle_sizes)
+                               find_independent_shuffle, orbit_closure)
 from omegalab.finset import (MAX_UNIVERSE, Family, FinSet, bit_family, cells,
-                             full_mask, is_independent)
+                             full_mask)
 
 SWAP01 = FamilyMap.from_dict({0: 1, 1: 0})
 
@@ -273,7 +272,7 @@ class TestCompatibility:
         expected = self.pairwise_witness(f, g, family)
         assert rep == (expected is None, expected)
 
-    def test_linear_in_pairs(self):
+    def test_linear_in_pairs(self, free_cell_sizes):
         # 104 858 pairs over 2^20 points: testing each pair by shifting a
         # 2^20-bit mask took seconds; the member sets take well under one
         n = 1 << 20
@@ -285,23 +284,23 @@ class TestCompatibility:
         bad = PartialInjection(n, f.pairs[:-1] + ((n - 6, n - 6),))
         started = time.perf_counter()
         assert check_compatible(f, SWAP01, family).ok
-        assert sum(shuffle_sizes(f, SWAP01, family)) == n - len(f.pairs)
+        assert sum(free_cell_sizes(f, SWAP01, family)) == n - len(f.pairs)
         assert check_compatible(bad, SWAP01, family).witness == (n - 6, 0)
         assert time.perf_counter() - started < 2.0
 
 
 class TestBuildPermutation:
-    def test_swap_of_halves(self):
-        sizes = shuffle_sizes(PartialInjection.empty(4), SWAP01, halves4())
+    def test_swap_of_halves(self, free_cell_sizes):
+        sizes = free_cell_sizes(PartialInjection.empty(4), SWAP01, halves4())
         assert sizes == (2, 2)
         perm = build_permutation(PartialInjection.empty(4), SWAP01, halves4(),
                                  AtomShuffle(tuple(tuple(range(s))
                                                    for s in sizes)))
         assert perm.images == (2, 3, 0, 1)
 
-    def test_fixed_pair_respected(self):
+    def test_fixed_pair_respected(self, free_cell_sizes):
         f = PartialInjection(4, ((0, 3),))
-        sizes = shuffle_sizes(f, SWAP01, halves4())
+        sizes = free_cell_sizes(f, SWAP01, halves4())
         assert sizes == (1, 2)
         perm = build_permutation(f, SWAP01, halves4(),
                                  AtomShuffle(tuple(tuple(range(s))
@@ -313,12 +312,12 @@ class TestBuildPermutation:
         with pytest.raises(IncompatiblePair):
             build_permutation(f, SWAP01, halves4(), AtomShuffle(((), ())))
 
-    def test_cardinality_mismatch(self):
-        # no shuffle fits cells of different sizes: shuffle_sizes raises as
-        # build_permutation does, before any shuffle is asked for
+    def test_cardinality_mismatch(self, free_cell_sizes):
+        # no shuffle fits cells of different sizes: the free cells' check
+        # raises as build_permutation does, before any shuffle is asked for
         fam = family_of(5, [[0, 1], [2, 3, 4]])
         with pytest.raises(CardinalityMismatch):
-            shuffle_sizes(PartialInjection.empty(5), SWAP01, fam)
+            free_cell_sizes(PartialInjection.empty(5), SWAP01, fam)
         with pytest.raises(CardinalityMismatch):
             build_permutation(PartialInjection.empty(5), SWAP01, fam,
                               AtomShuffle(((0, 1), (0, 1, 2))))
@@ -385,11 +384,11 @@ class TestBuildPermutation:
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=4), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_shuffle_check_matches_parent(self, sizes, data):
+    def test_shuffle_check_matches_parent(self, free_cell_sizes, sizes, data):
         # cell counts and lengths off by one either way, positions in
         # [-2, length + 1] with repeats, or permutations; empty cells included
         f, g, fam, free = demand_with_cells(sizes)
-        assert shuffle_sizes(f, g, fam) == tuple(sizes)
+        assert free_cell_sizes(f, g, fam) == tuple(sizes)
         count = max(len(sizes) + data.draw(st.integers(-1, 1)), 0)
         perms = []
         for k in range(count):
@@ -419,7 +418,8 @@ class TestBuildPermutation:
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 4), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_compatible_instances(self, seed, e, data):
+    def test_random_compatible_instances(self, free_cell_sizes, seed, e,
+                                         data):
         # build a cell-respecting partial injection, complete it, and check
         # the postcondition: the result extends f and carries set j onto
         # set g(j) for every j in the domain of g
@@ -439,7 +439,7 @@ class TestBuildPermutation:
             pairs.extend(zip(src[:take], tgt[:take]))
         f = PartialInjection(n, tuple(pairs))
         assert check_compatible(f, g, fam).ok
-        sizes = shuffle_sizes(f, g, fam)
+        sizes = free_cell_sizes(f, g, fam)
         perm = build_permutation(f, g, fam, AtomShuffle.random(sizes, rng))
         for x, y in f.pairs:
             assert perm.images[x] == y
@@ -857,41 +857,3 @@ class TestFindIndependentShuffle:
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2] >= 1
 
-
-class TestHomogenize:
-    def test_no_demands_is_identity(self):
-        fam = bit_family(2, 8)
-        rep = homogenize(fam, [], threshold=2, depth=2, layers=1, budget=30,
-                         seed=99)
-        assert rep.ok and rep.steps == () and rep.family is fam
-        assert rep.failed_at is None
-
-    def test_trivial_demand_on_empty_family(self):
-        fam = Family(4, ())
-        rep = homogenize(fam, [(PartialInjection.empty(4), FamilyMap(()))],
-                         2, 2, 1, 5, 1)
-        assert rep.ok and len(rep.steps) == 1
-        assert rep.family.sets == ()  # nothing to close over
-
-    def test_two_demands_grow_then_hold(self):
-        fam = bit_family(2, 32)
-        demands = [
-            (PartialInjection.empty(32), SWAP01),
-            (PartialInjection.empty(32), FamilyMap.from_dict({0: 0, 1: 1})),
-        ]
-        rep = homogenize(fam, demands, 4, 2, 1, 30, 3)
-        assert rep.ok and len(rep.steps) == 2 and rep.failed_at is None
-        assert is_independent(rep.family, 4, 2).ok
-        assert {s.mask for s in fam.sets} <= {s.mask for s in rep.family.sets}
-
-    def test_stops_at_first_failure(self):
-        fam = bit_family(2, 8)
-        demands = [
-            (PartialInjection.empty(8), SWAP01),
-            (PartialInjection.empty(8), SWAP01),
-        ]
-        rep = homogenize(fam, demands, threshold=5, depth=2, layers=1,
-                         budget=4, seed=2)
-        assert not rep.ok
-        assert rep.failed_at == 0 and len(rep.steps) == 1
-        assert rep.family is fam  # untouched by the failed step

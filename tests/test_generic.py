@@ -17,6 +17,7 @@ from omegalab.generic import (IN, OUT, ComboDensityReport, Condition, Demand,
                               auto_schedule, build_generic,
                               check_all_combos_dense, extend_to_meet,
                               is_condition, merge_families)
+from omegalab.jsonio import grid_from_obj, grid_to_obj
 
 ZERO_GRID = TargetGrid.constant(4, 4)
 
@@ -45,6 +46,19 @@ class TestTargetGrid:
             TargetGrid(2, 2, 1, (0,) * 7)
         with pytest.raises(ValueError):
             TargetGrid(1, 1, 1, (1, 0))
+
+    @pytest.mark.parametrize("rows, cols, bound, values", [
+        (1, 1, 2, (True, 0.5)), (1, 1, 2, (0, 0.5)), (1, 1, 2, (True, 0)),
+        (1.0, 1, 2, (0, 0)), (1, True, 2, (0, 0)), (1, 1, 2.0, (0, 0))])
+    def test_non_int_fields_refused(self, rows, cols, bound, values):
+        # each used to construct, and grid_to_obj then wrote a file that
+        # grid_from_obj refuses
+        with pytest.raises(ValueError, match="^grid .* must be integers"):
+            TargetGrid(rows, cols, bound, values)
+
+    def test_grid_file_reads_back(self):
+        grid = TargetGrid(2, 1, 3, (0, 2, 1, 0))
+        assert grid_from_obj(grid_to_obj(grid)) == grid
 
     def test_value_lookup_row_major(self):
         grid = TargetGrid(2, 2, 8, tuple(range(8)))

@@ -4,6 +4,7 @@ request loads no extender.  Plain result records are NamedTuples; the
 records that callers pass to dataclasses.replace stay dataclasses."""
 
 import dataclasses
+import enum
 import functools
 import json
 import subprocess
@@ -11,14 +12,17 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from omegalab.codec import check_dense
+from omegalab import codec, jsonio
+from omegalab.codec import PartialFn, check_dense
 from omegalab.config import ExperimentConfig
 from omegalab.diag import PipelineReport, run_pipeline, verify_catch
-from omegalab.extender import (FamilyMap, PartialInjection,
-                               ShuffleSearchReport, atoms_of,
-                               check_compatible, find_independent_shuffle,
-                               homogenize)
+from omegalab.extender import (AtomShuffle, FamilyMap, PartialInjection,
+                               Permutation, ShuffleSearchReport, atoms_of,
+                               build_permutation, check_compatible,
+                               find_independent_shuffle)
 from omegalab.finset import (CombinationSpec, Family, FinSet, bit_family,
                              is_independent, is_saturated)
 from omegalab.generic import (IN, Condition, Demand, TargetGrid,
@@ -118,9 +122,6 @@ PINNED_REPRS = {
     "AtomDecomposition":
         "AtomDecomposition(n=4, atoms=(FinSet(n=4, mask=12), FinSet(n=4, "
         "mask=3)), signatures=(0, 1), action=(0, 1))",
-    "HomogenizeReport":
-        "HomogenizeReport(steps=(), family=Family(n=4, sets=(FinSet(n=4, "
-        "mask=3),), labels=None), failed_at=None)",
 }
 
 
@@ -152,7 +153,6 @@ def _records():
         "CompatibilityReport": check_compatible(
             PartialInjection(4, ((0, 2),)), g, small),
         "AtomDecomposition": atoms_of(g, small),
-        "HomogenizeReport": homogenize(small, [], 1, 1, 1, 1, 0),
     }
 
 
@@ -189,6 +189,77 @@ def test_replaced_records_stay_dataclasses():
     assert bumped.attempts == 2 and bumped.exhausted == rep.exhausted
 
 
+# --- one integer test ---------------------------------------------------------
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+@given(st.one_of(st.integers(), st.integers(min_value=2 ** 64),
+                 st.integers(max_value=-2 ** 64), st.booleans(), st.floats(),
+                 st.text(), st.none(), st.just(Level.HIGH)))
+def test_is_int_equals_the_predicate_it_replaced(x):
+    # the copies each site wrote out before codec._is_int, both ways round
+    assert codec._is_int(x) == (isinstance(x, int) and not isinstance(x, bool))
+    assert (not codec._is_int(x)) == (not isinstance(x, int)
+                                      or isinstance(x, bool))
+
+
+def _config_obj(k):
+    obj = TINY.to_json_obj()
+    obj["K"] = k
+    return obj
+
+
+# per site: a reader given the bad value, and the message it refuses it with
+_INT_SITES = [
+    pytest.param(lambda x: jsonio.finset_from_obj({"N": 4, "members": [x]}),
+                 "members must be a list of integers", id="jsonio._int_list"),
+    pytest.param(lambda x: jsonio.family_from_obj({"N": x, "sets": []}),
+                 "family key N must be an integer",
+                 id="jsonio._universe_size"),
+    pytest.param(lambda x: jsonio.grid_from_obj({"Ma": x, "Mk": 1, "V": 1,
+                                                 "values": []}),
+                 "grid key Ma must be a positive integer",
+                 id="jsonio.grid_from_obj"),
+    pytest.param(lambda x: jsonio.demand_from_obj(
+                     {"pos": [], "neg": [], "probe": x, "polarity": IN}),
+                 "demand probe must be an integer >= 0",
+                 id="jsonio.demand_from_obj"),
+    pytest.param(lambda x: ExperimentConfig.from_json_obj(_config_obj(x)),
+                 "config key 'K' must be an integer",
+                 id="ExperimentConfig.from_json_obj"),
+    pytest.param(lambda x: PartialFn.from_entries([(x, 0, 0, 0)]),
+                 "bad entry ({x!r}, 0, 0, 0)", id="PartialFn.from_entries"),
+    pytest.param(lambda x: PartialInjection(4, ((x, 0),)),
+                 "partial injection members must be integers",
+                 id="extender.pairs"),
+    pytest.param(lambda x: PartialInjection(x, ()),
+                 "universe size must be an integer >= 1", id="extender.n"),
+    pytest.param(lambda x: Permutation(2, (x, 0)),
+                 "images must list each point of [0, n) exactly once",
+                 id="extender.Permutation.images"),
+    pytest.param(lambda x: build_permutation(
+                     PartialInjection.empty(4),
+                     FamilyMap.from_dict({0: 1, 1: 0}),
+                     Family(4, (FinSet.from_members(4, [0, 1]),
+                                FinSet.from_members(4, [2, 3]))),
+                     AtomShuffle(((x, 0), (0, 1)))),
+                 "each cell shuffle must permute 0..size-1",
+                 id="extender.shuffle_check"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("read, message", _INT_SITES)
+def test_integer_sites_refuse_bools_and_floats(read, message, bad):
+    # 1 and True, and 1 and 1.0, compare equal: each would pass a range
+    # check, so only the type test refuses them
+    with pytest.raises(ValueError) as caught:
+        read(bad)
+    assert str(caught.value) == message.format(x=bad)
+
+
 def test_line_kinds_script(tmp_path):
     # the CI step's per-kind line count: a docstring opens the module and a
     # def's body, not a one-line body; the string after it is code
@@ -213,9 +284,10 @@ def test_line_kinds_script(tmp_path):
 
 
 def test_unused_names_script(tmp_path):
-    # the CI step's unused-name report: a def or class is used where some
+    # the CI step's unused-name gate: a def or class is used where some
     # file names it, as an identifier or a whole string; a docstring's words
-    # are no use, and dunders and _cmd_* handlers are left out
+    # are no use, and dunders and _cmd_* handlers are left out.  It exits 1
+    # when it lists an unused name, 0 when it lists none
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "mod.py").write_text(
@@ -228,7 +300,7 @@ def test_unused_names_script(tmp_path):
     res = subprocess.run([sys.executable, "scripts/unused_names.py",
                           str(pkg), str(caller)], capture_output=True,
                          text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == 1, res.stderr
     mod = pkg / "mod.py"
     assert res.stdout.splitlines() == [f"{mod}:4: unused", f"{mod}:11: lonely",
                                        "2 unused names",
@@ -241,10 +313,21 @@ def test_unused_names_script(tmp_path):
     res = subprocess.run([sys.executable, "scripts/unused_names.py",
                           str(pkg), str(caller)], capture_output=True,
                          text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == 1, res.stderr
     two = pkg / "two.py"
     assert res.stdout.splitlines() == [f"{mod}:4: unused", f"{mod}:11: lonely",
                                        "2 unused names", f"{two}:2: go",
+                                       f"{two}:5: go",
+                                       "2 defs share a name with another def"]
+    # once the caller names unused and lonely, nothing is listed: exit 0,
+    # even though two defs still share a name
+    caller.write_text('from pkg.mod import Used, lonely\n'
+                      'WRAPPED = ("traced", "unused")\n')
+    res = subprocess.run([sys.executable, "scripts/unused_names.py",
+                          str(pkg), str(caller)], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["0 unused names", f"{two}:2: go",
                                        f"{two}:5: go",
                                        "2 defs share a name with another def"]
     # no path, or a missing one: one usage line and exit 2, no traceback
@@ -255,6 +338,16 @@ def test_unused_names_script(tmp_path):
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith("usage: ")
         assert len(res.stderr.splitlines()) == 1
+
+
+def test_package_has_no_unused_name():
+    # the CI step's own scan: every def and class of the engine has a caller
+    # in src, bench or scripts
+    res = subprocess.run([sys.executable, "scripts/unused_names.py",
+                          "src/omegalab", "src", "bench", "scripts"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout
+    assert "0 unused names" in res.stdout.splitlines()
 
 
 def test_deep_extension_demo_script():
